@@ -46,8 +46,6 @@ bool SameOptions(const AuditOptions& a, const AuditOptions& b) {
          a.evaluator.score_hi == b.evaluator.score_hi &&
          a.evaluator.divergence == b.evaluator.divergence &&
          a.evaluator.num_threads == b.evaluator.num_threads &&
-         a.evaluator.enable_cache == b.evaluator.enable_cache &&
-         a.evaluator.cache_max_bytes == b.evaluator.cache_max_bytes &&
          SameLimits(a.limits, b.limits);
 }
 
@@ -91,6 +89,10 @@ void FuzzFlagCanonicalize(const uint8_t* data, size_t size) {
     return;
   }
   FUZZ_CHECK(SameOptions(options.value(), options_again.value()));
+  // Bins are bounded before the narrowing cast, so no request can size a
+  // histogram beyond the cap (or wrap into a small positive count).
+  FUZZ_CHECK(options->evaluator.num_bins >= 1 &&
+             options->evaluator.num_bins <= kMaxBins);
 
   // Canonical form: names in FlagNames() (sorted) order, stored values.
   std::vector<std::pair<std::string, std::string>> canonical;

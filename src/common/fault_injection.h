@@ -55,8 +55,7 @@ bool armed();
 /// Total allocation checkpoints hit since the last Arm().
 uint64_t alloc_checkpoints_hit();
 
-/// Total divergence evaluations (actual computations, not cache hits) hit
-/// since the last Arm(). Counted while armed, even when no divergence fault
+/// Total divergence evaluations hit since the last Arm(). Counted while armed, even when no divergence fault
 /// is configured — tests use it to measure evaluator work.
 uint64_t divergence_evals_hit();
 

@@ -74,12 +74,12 @@ class TraceContext {
 
   /// Records an already-measured operation of `duration_ns` ending now: a
   /// completed span when below the cap, and always a totals update. This is
-  /// the hot-path form (histogram / emd / cache-hit) — one mutex
+  /// the hot-path form (histogram / emd) — one mutex
   /// acquisition, no id round trip.
   void AddEvent(const char* name, int64_t parent, uint64_t duration_ns)
       FAIRRANK_EXCLUDES(mutex_);
 
-  /// Instantaneous event (zero-duration span), e.g. a cache hit.
+  /// Instantaneous event (zero-duration span).
   void Event(const char* name, int64_t parent = -1) {
     AddEvent(name, parent, 0);
   }

@@ -30,11 +30,11 @@ class AttributeSelector {
                                         const std::vector<size_t>& attrs) = 0;
 
   /// Picks the attribute for a local split of one partition against its
-  /// siblings (Algorithm 2's worstAttribute(current, f, A)). `attrs` must be
-  /// non-empty.
+  /// siblings' histograms (Algorithm 2's worstAttribute(current, f, A)).
+  /// `attrs` must be non-empty.
   virtual StatusOr<size_t> SelectLocal(const UnfairnessEvaluator& eval,
                                        const Partition& current,
-                                       const std::vector<Partition>& siblings,
+                                       const std::vector<Histogram>& siblings,
                                        const std::vector<size_t>& attrs) = 0;
 };
 
@@ -61,10 +61,9 @@ struct SearchResult {
   /// Split / candidate-evaluation checkpoints passed — the work actually
   /// done, comparable across algorithms and against --max-nodes.
   uint64_t nodes_visited = 0;
-  /// Evaluator-cache counters over the search (hits, misses = actual
-  /// histogram builds / divergence computations, evictions). Filled by
-  /// FairnessAuditor and bench harnesses from the search evaluator after
-  /// the algorithm returns; algorithms themselves leave it zeroed.
+  /// Work counters of the search evaluator (histograms built, divergences
+  /// computed). Filled by FairnessAuditor and bench harnesses after the
+  /// algorithm returns; algorithms themselves leave it zeroed.
   EvalCacheStats cache;
 };
 

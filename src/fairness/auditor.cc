@@ -116,15 +116,10 @@ StatusOr<AuditResult> FairnessAuditor::AuditScores(
       UnfairnessEvaluator eval,
       UnfairnessEvaluator::Make(table_, std::move(scores),
                                 report_evaluator_options));
-  // Cache growth of the search evaluator is charged against the search's
-  // resource budget; the reporting evaluator stays unbounded like its
-  // deadline. A shared (suite-owned) cache already carries the suite's
-  // charging context — attaching each cell's would let cells overwrite each
-  // other's budgets.
-  const bool shared_cache = options.evaluator.shared_cache != nullptr;
-  if (!shared_cache) {
-    search_eval.AttachExecutionContext(context);
-  }
+  // The search evaluator's pairwise buffers are charged against the
+  // search's resource budget; the reporting evaluator stays unbounded like
+  // its deadline.
+  search_eval.AttachExecutionContext(context);
 
   AlgorithmConfig config;
   config.seed = options.seed;
@@ -190,17 +185,9 @@ StatusOr<AuditResult> FairnessAuditor::AuditScores(
                      return a.size > b.size;
                    });
   result.partitioning = std::move(partitioning);
-  if (shared_cache) {
-    // Both evaluators fed the one shared cache: a single snapshot covers
-    // them (adding the two would double-count). The counters are cumulative
-    // over every evaluator sharing the cache, not per-audit.
-    result.cache = eval.cache_stats();
-  } else {
-    // Combined cache view: search evaluator (bounded) plus the reporting
-    // evaluator that computed the metrics above.
-    result.cache = search.cache;
-    result.cache.Add(eval.cache_stats());
-  }
+  // Work of the search evaluator plus the reporting one.
+  result.cache = search.cache;
+  result.cache.Add(eval.cache_stats());
   return result;
 }
 

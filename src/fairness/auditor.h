@@ -82,10 +82,8 @@ struct AuditResult {
   uint64_t nodes_visited = 0;
   /// Search throughput: nodes_visited / seconds (0 when seconds is 0).
   double nodes_per_sec = 0.0;
-  /// Evaluator-cache counters, combined over the search and reporting
-  /// evaluators of this audit (see EvalCacheStats; misses count actual
-  /// histogram builds / divergence computations, so they are meaningful
-  /// with the cache disabled too).
+  /// Work counters (histograms built, divergences computed), combined over
+  /// the search and reporting evaluators of this audit.
   EvalCacheStats cache;
   /// Scores outside the evaluator's [score_lo, score_hi] range, folded into
   /// edge bins under OutOfRangePolicy::kCount. Reports warn when nonzero.

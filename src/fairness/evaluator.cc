@@ -14,15 +14,12 @@ namespace fairrank {
 
 namespace {
 
-/// Always-on pipeline counters (one relaxed atomic add per operation —
-/// cheap next to the histogram/EMD work itself, and exact regardless of
-/// cache sharing because they count at the source). `/metrics` serves them
-/// as the per-phase pipeline families.
+/// Always-on pipeline counters (relaxed atomic adds, batched per call —
+/// cheap next to the histogram/EMD work itself). `/metrics` serves them as
+/// the per-phase pipeline families.
 struct PipelineMetrics {
   MetricCounter* histogram_builds;
-  MetricCounter* histogram_cache_hits;
   MetricCounter* emd_computations;
-  MetricCounter* emd_cache_hits;
 
   static const PipelineMetrics& Get() {
     static const PipelineMetrics* metrics = [] {
@@ -30,16 +27,10 @@ struct PipelineMetrics {
       auto* m = new PipelineMetrics();
       m->histogram_builds = registry.GetCounter(
           "fairrank_pipeline_histogram_builds_total",
-          "Per-partition score histograms actually built (cache misses)");
-      m->histogram_cache_hits = registry.GetCounter(
-          "fairrank_pipeline_histogram_cache_hits_total",
-          "Histogram requests served from the evaluator cache");
+          "Per-partition score histograms built");
       m->emd_computations = registry.GetCounter(
           "fairrank_pipeline_emd_computations_total",
-          "Pairwise divergences actually computed (cache misses)");
-      m->emd_cache_hits = registry.GetCounter(
-          "fairrank_pipeline_emd_cache_hits_total",
-          "Pairwise divergences served from the evaluator cache");
+          "Pairwise divergences computed");
       return m;
     }();
     return *metrics;
@@ -47,6 +38,14 @@ struct PipelineMetrics {
 };
 
 }  // namespace
+
+void EvalCacheStats::Add(const EvalCacheStats& other) {
+  histogram_hits += other.histogram_hits;
+  histogram_misses += other.histogram_misses;
+  divergence_hits += other.divergence_hits;
+  divergence_misses += other.divergence_misses;
+  bytes_used += other.bytes_used;
+}
 
 StatusOr<UnfairnessEvaluator> UnfairnessEvaluator::Make(
     const Table* table, std::vector<double> scores,
@@ -88,85 +87,81 @@ StatusOr<UnfairnessEvaluator> UnfairnessEvaluator::Make(
                              std::move(divergence), num_out_of_range);
 }
 
-std::shared_ptr<const Histogram> UnfairnessEvaluator::CachedHistogram(
+Histogram UnfairnessEvaluator::BuildHistogram(
     const Partition& partition) const {
-  const uint64_t fp = PartitionFingerprint(partition);
-  if (std::shared_ptr<const Histogram> hit = cache_->FindHistogram(fp)) {
-    PipelineMetrics::Get().histogram_cache_hits->Increment();
-    if (options_.trace != nullptr) {
-      options_.trace->Event("cache-hit", options_.trace_parent);
-    }
-    return hit;
-  }
   const uint64_t start_ns =
       options_.trace != nullptr ? TraceNowNanos() : 0;
-  auto built = std::make_shared<Histogram>(options_.num_bins,
-                                           options_.score_lo,
-                                           options_.score_hi);
-  for (size_t row : partition.rows) built->Add(scores_[row]);
-  std::shared_ptr<const Histogram> result = std::move(built);
-  cache_->InsertHistogram(fp, result);
+  Histogram histogram(options_.num_bins, options_.score_lo,
+                      options_.score_hi);
+  for (size_t row : partition.rows) histogram.Add(scores_[row]);
+  work_->histograms.fetch_add(1, std::memory_order_relaxed);
   PipelineMetrics::Get().histogram_builds->Increment();
   if (options_.trace != nullptr) {
     options_.trace->AddEvent("histogram", options_.trace_parent,
                              TraceNowNanos() - start_ns);
   }
-  return result;
+  return histogram;
 }
 
-StatusOr<double> UnfairnessEvaluator::CachedDistance(uint64_t fp_a,
-                                                     const Histogram& a,
-                                                     uint64_t fp_b,
-                                                     const Histogram& b) const {
-  double cached = 0.0;
-  if (cache_->FindDivergence(fp_a, fp_b, &cached)) {
-    PipelineMetrics::Get().emd_cache_hits->Increment();
-    if (options_.trace != nullptr) {
-      options_.trace->Event("cache-hit", options_.trace_parent);
-    }
-    return cached;
+std::vector<Histogram> UnfairnessEvaluator::BuildHistograms(
+    const Partitioning& partitioning) const {
+  std::vector<Histogram> histograms;
+  histograms.reserve(partitioning.size());
+  for (const Partition& p : partitioning) {
+    histograms.push_back(BuildHistogram(p));
   }
+  return histograms;
+}
+
+StatusOr<double> UnfairnessEvaluator::ComputeDistance(
+    const Histogram& a, const Histogram& b) const {
   if (fault::OnDivergenceEval()) {
     return Status::Internal("fault injection: divergence evaluation failed");
   }
-  const uint64_t start_ns =
-      options_.trace != nullptr ? TraceNowNanos() : 0;
+  if (options_.trace == nullptr) return divergence_->Distance(a, b);
+  const uint64_t start_ns = TraceNowNanos();
   StatusOr<double> d = divergence_->Distance(a, b);
-  if (d.ok()) cache_->InsertDivergence(fp_a, fp_b, *d);
-  PipelineMetrics::Get().emd_computations->Increment();
-  if (options_.trace != nullptr) {
-    options_.trace->AddEvent("emd", options_.trace_parent,
-                             TraceNowNanos() - start_ns);
-  }
+  options_.trace->AddEvent("emd", options_.trace_parent,
+                           TraceNowNanos() - start_ns);
   return d;
 }
 
-Histogram UnfairnessEvaluator::BuildHistogram(
-    const Partition& partition) const {
-  return *CachedHistogram(partition);
+void UnfairnessEvaluator::CountDivergences(uint64_t n) const {
+  if (n == 0) return;
+  work_->divergences.fetch_add(n, std::memory_order_relaxed);
+  PipelineMetrics::Get().emd_computations->Increment(n);
+}
+
+EvalCacheStats UnfairnessEvaluator::cache_stats() const {
+  EvalCacheStats stats;
+  stats.histogram_misses = work_->histograms.load(std::memory_order_relaxed);
+  stats.divergence_misses = work_->divergences.load(std::memory_order_relaxed);
+  return stats;
+}
+
+StatusOr<double> UnfairnessEvaluator::Distance(const Histogram& a,
+                                               const Histogram& b) const {
+  StatusOr<double> d = ComputeDistance(a, b);
+  CountDivergences(1);
+  return d;
 }
 
 StatusOr<double> UnfairnessEvaluator::Distance(const Partition& a,
                                                const Partition& b) const {
-  std::shared_ptr<const Histogram> ha = CachedHistogram(a);
-  std::shared_ptr<const Histogram> hb = CachedHistogram(b);
-  return CachedDistance(PartitionFingerprint(a), *ha, PartitionFingerprint(b),
-                        *hb);
+  return Distance(BuildHistogram(a), BuildHistogram(b));
 }
 
 StatusOr<std::vector<double>> UnfairnessEvaluator::PairwiseDistances(
-    const Partitioning& partitioning) const {
+    const std::vector<Histogram>& histograms) const {
   std::vector<double> distances;
-  if (partitioning.size() < 2) return distances;
-  const size_t k = partitioning.size();
-  std::vector<uint64_t> fps(k);
-  std::vector<std::shared_ptr<const Histogram>> hists(k);
-  for (size_t i = 0; i < k; ++i) {
-    fps[i] = PartitionFingerprint(partitioning[i]);
-    hists[i] = CachedHistogram(partitioning[i]);
-  }
-
+  const size_t k = histograms.size();
+  if (k < 2) return distances;
   const size_t num_pairs = k * (k - 1) / 2;
+  if (context_.has_value()) {
+    // The verdict is not needed here: exhaustion latches on the budget and
+    // the search truncates at its next checkpoint.
+    (void)context_->CheckMemory(num_pairs * sizeof(double));
+  }
   // Flatten the upper triangle so pair m maps to (i, j) and distances land
   // in a fixed slot — the final reduction order is deterministic regardless
   // of thread count.
@@ -192,15 +187,16 @@ StatusOr<std::vector<double>> UnfairnessEvaluator::PairwiseDistances(
             ++i;
           }
           j = i + 1 + (begin - m);
+          size_t computed = 0;
           for (size_t p = begin; p < end; ++p) {
-            if (abort.load(std::memory_order_relaxed)) return;
-            StatusOr<double> d =
-                CachedDistance(fps[i], *hists[i], fps[j], *hists[j]);
+            if (abort.load(std::memory_order_relaxed)) break;
+            StatusOr<double> d = ComputeDistance(histograms[i], histograms[j]);
+            ++computed;
             if (!d.ok()) {
               abort.store(true, std::memory_order_relaxed);
               std::lock_guard<std::mutex> lock(error_mutex);
               if (first_error.ok()) first_error = d.status();
-              return;
+              break;
             }
             distances[p] = *d;
             if (++j == k) {
@@ -208,6 +204,7 @@ StatusOr<std::vector<double>> UnfairnessEvaluator::PairwiseDistances(
               j = i + 1;
             }
           }
+          CountDivergences(computed);
         });
   } catch (const std::exception& e) {
     // Worker exceptions (including injected faults) are captured by
@@ -228,8 +225,14 @@ StatusOr<std::vector<double>> UnfairnessEvaluator::PairwiseDistances(
 StatusOr<double> UnfairnessEvaluator::AveragePairwiseUnfairness(
     const Partitioning& partitioning) const {
   if (partitioning.size() < 2) return 0.0;
+  return AveragePairwise(BuildHistograms(partitioning));
+}
+
+StatusOr<double> UnfairnessEvaluator::AveragePairwise(
+    const std::vector<Histogram>& histograms) const {
+  if (histograms.size() < 2) return 0.0;
   FAIRRANK_ASSIGN_OR_RETURN(std::vector<double> distances,
-                            PairwiseDistances(partitioning));
+                            PairwiseDistances(histograms));
   double sum = 0.0;
   for (double d : distances) sum += d;
   return sum / static_cast<double>(distances.size());
@@ -240,10 +243,10 @@ StatusOr<std::vector<DivergentPair>> TopDivergentPairs(
     size_t k) {
   std::vector<DivergentPair> pairs;
   if (partitioning.size() < 2 || k == 0) return pairs;
-  // Same flattened upper triangle as AveragePairwiseUnfairness — when the
-  // audit already computed it, every lookup below is a cache hit.
-  FAIRRANK_ASSIGN_OR_RETURN(std::vector<double> distances,
-                            eval.PairwiseDistances(partitioning));
+  // Same flattened upper triangle as AveragePairwiseUnfairness.
+  FAIRRANK_ASSIGN_OR_RETURN(
+      std::vector<double> distances,
+      eval.PairwiseDistances(eval.BuildHistograms(partitioning)));
   pairs.reserve(distances.size());
   size_t m = 0;
   for (size_t i = 0; i < partitioning.size(); ++i) {
@@ -260,76 +263,50 @@ StatusOr<std::vector<DivergentPair>> TopDivergentPairs(
 }
 
 StatusOr<double> UnfairnessEvaluator::AverageWithSiblings(
-    const Partition& current, const std::vector<Partition>& siblings) const {
+    const Histogram& current, const std::vector<Histogram>& siblings) const {
   if (siblings.empty()) return 0.0;
-  const uint64_t current_fp = PartitionFingerprint(current);
-  std::shared_ptr<const Histogram> current_hist = CachedHistogram(current);
   double sum = 0.0;
-  for (const Partition& s : siblings) {
-    std::shared_ptr<const Histogram> sh = CachedHistogram(s);
-    FAIRRANK_ASSIGN_OR_RETURN(
-        double d, CachedDistance(current_fp, *current_hist,
-                                 PartitionFingerprint(s), *sh));
+  for (const Histogram& s : siblings) {
+    FAIRRANK_ASSIGN_OR_RETURN(double d, ComputeDistance(current, s));
     sum += d;
   }
+  CountDivergences(siblings.size());
   return sum / static_cast<double>(siblings.size());
 }
 
 StatusOr<double> UnfairnessEvaluator::AverageChildrenWithSiblings(
-    const std::vector<Partition>& children,
-    const std::vector<Partition>& siblings) const {
-  std::vector<uint64_t> child_fps;
-  std::vector<std::shared_ptr<const Histogram>> child_hists;
-  child_fps.reserve(children.size());
-  child_hists.reserve(children.size());
-  for (const Partition& c : children) {
-    child_fps.push_back(PartitionFingerprint(c));
-    child_hists.push_back(CachedHistogram(c));
-  }
-  std::vector<uint64_t> sibling_fps;
-  std::vector<std::shared_ptr<const Histogram>> sibling_hists;
-  sibling_fps.reserve(siblings.size());
-  sibling_hists.reserve(siblings.size());
-  for (const Partition& s : siblings) {
-    sibling_fps.push_back(PartitionFingerprint(s));
-    sibling_hists.push_back(CachedHistogram(s));
-  }
-
+    const std::vector<Histogram>& children,
+    const std::vector<Histogram>& siblings) const {
   double sum = 0.0;
   size_t pairs = 0;
+  auto add = [&](const Histogram& a, const Histogram& b) -> Status {
+    FAIRRANK_ASSIGN_OR_RETURN(double d, ComputeDistance(a, b));
+    sum += d;
+    ++pairs;
+    return Status::OK();
+  };
   // Child-child pairs.
-  for (size_t i = 0; i < child_hists.size(); ++i) {
-    for (size_t j = i + 1; j < child_hists.size(); ++j) {
-      FAIRRANK_ASSIGN_OR_RETURN(
-          double d, CachedDistance(child_fps[i], *child_hists[i],
-                                   child_fps[j], *child_hists[j]));
-      sum += d;
-      ++pairs;
+  for (size_t i = 0; i < children.size(); ++i) {
+    for (size_t j = i + 1; j < children.size(); ++j) {
+      FAIRRANK_RETURN_NOT_OK(add(children[i], children[j]));
     }
   }
   // Child-sibling pairs.
-  for (size_t i = 0; i < child_hists.size(); ++i) {
-    for (size_t j = 0; j < sibling_hists.size(); ++j) {
-      FAIRRANK_ASSIGN_OR_RETURN(
-          double d, CachedDistance(child_fps[i], *child_hists[i],
-                                   sibling_fps[j], *sibling_hists[j]));
-      sum += d;
-      ++pairs;
+  for (const Histogram& child : children) {
+    for (const Histogram& sibling : siblings) {
+      FAIRRANK_RETURN_NOT_OK(add(child, sibling));
     }
   }
   if (options_.sibling_comparison == SiblingComparison::kAllPairs) {
     // Also count sibling-sibling pairs: the result is then the average
     // pairwise unfairness of (children ∪ siblings).
-    for (size_t i = 0; i < sibling_hists.size(); ++i) {
-      for (size_t j = i + 1; j < sibling_hists.size(); ++j) {
-        FAIRRANK_ASSIGN_OR_RETURN(
-            double d, CachedDistance(sibling_fps[i], *sibling_hists[i],
-                                     sibling_fps[j], *sibling_hists[j]));
-        sum += d;
-        ++pairs;
+    for (size_t i = 0; i < siblings.size(); ++i) {
+      for (size_t j = i + 1; j < siblings.size(); ++j) {
+        FAIRRANK_RETURN_NOT_OK(add(siblings[i], siblings[j]));
       }
     }
   }
+  CountDivergences(pairs);
   if (pairs == 0) return 0.0;
   return sum / static_cast<double>(pairs);
 }

@@ -1,7 +1,10 @@
 #ifndef FAIRRANK_FAIRNESS_EVALUATOR_H_
 #define FAIRRANK_FAIRNESS_EVALUATOR_H_
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/budget.h"
@@ -9,12 +12,38 @@
 #include "common/status.h"
 #include "common/trace.h"
 #include "data/table.h"
-#include "fairness/eval_cache.h"
 #include "fairness/partition.h"
 #include "stats/divergence.h"
 #include "stats/histogram.h"
 
 namespace fairrank {
+
+/// Work counters of one evaluator: histograms built and divergences
+/// computed. The evaluator memoizes nothing, so every request is a build or
+/// a computation; the hit and byte fields are always 0 and remain only so
+/// callers that still read them compile. Totals are exact at any
+/// num_threads: every pair of a pairwise loop is computed exactly once.
+struct EvalCacheStats {
+  uint64_t histogram_hits = 0;     ///< Always 0.
+  uint64_t histogram_misses = 0;   ///< Histograms built.
+  uint64_t divergence_hits = 0;    ///< Always 0.
+  uint64_t divergence_misses = 0;  ///< Divergences computed.
+  uint64_t bytes_used = 0;         ///< Always 0.
+
+  uint64_t histogram_lookups() const {
+    return histogram_hits + histogram_misses;
+  }
+  uint64_t divergence_lookups() const {
+    return divergence_hits + divergence_misses;
+  }
+
+  /// Accumulates `other` into this (used to combine the search and
+  /// reporting evaluators of one audit).
+  void Add(const EvalCacheStats& other);
+};
+
+/// Declared, never defined: EvaluatorOptions::shared_cache can only be null.
+class EvaluatorCache;
 
 /// Two readings of Algorithm 2's `averageEMD(children, siblings, f)` — the
 /// paper's prose ("the average pairwise EMD of its potential children with
@@ -69,29 +98,14 @@ struct EvaluatorOptions {
   /// *reporting* — only the search evaluator should be interruptible.
   Deadline deadline;
   CancellationToken cancel;
-  /// Memoize per-partition histograms and pairwise divergences by row-set
-  /// fingerprint (see EvaluatorCache). On by default; `--no-cache` turns it
-  /// off. Results are bit-identical either way — the cache stores exactly
-  /// the values the uncached path would recompute.
-  bool enable_cache = true;
-  /// Byte cap of the memoization cache (0 = uncapped). Exceeding it triggers
-  /// an epoch eviction, never an error.
-  uint64_t cache_max_bytes = 256ull << 20;
-  /// Externally owned cache shared by several evaluators. Null (default):
-  /// the evaluator creates a private cache. Sharing is only valid between
-  /// evaluators over the *same* score vector and histogram shape — cache
-  /// entries are keyed by row-set fingerprint alone. The suite scheduler
-  /// uses this to share one cache per scoring-function column across that
-  /// column's algorithm cells (EvaluatorCache is thread-safe); the sharer is
-  /// responsible for attaching any budget-charging context exactly once.
-  /// When set, `enable_cache`/`cache_max_bytes` above are ignored — the
-  /// shared cache was built with its own configuration.
+  /// Always null (EvaluatorCache has no definition); kept so callers that
+  /// still test it compile.
   std::shared_ptr<EvaluatorCache> shared_cache;
   /// Policy for scores outside [score_lo, score_hi]; see OutOfRangePolicy.
   OutOfRangePolicy out_of_range = OutOfRangePolicy::kCount;
   /// Borrowed per-request trace (see common/trace.h). When set, every
-  /// histogram build, divergence computation, and cache hit records a span
-  /// ("histogram" / "emd" / "cache-hit") under `trace_parent`. Null =
+  /// histogram build and divergence computation records a span
+  /// ("histogram" / "emd") under `trace_parent`. Null =
   /// tracing off; recording is thread-safe (the pairwise pool records
   /// concurrently). The auditor wires this from its ExecutionLimits.
   TraceContext* trace = nullptr;
@@ -101,18 +115,16 @@ struct EvaluatorOptions {
 /// Computes unfairness(P, f) (Definition 2): the average pairwise divergence
 /// between the score histograms of a partitioning's partitions. Owns the
 /// scores of every row under the audited scoring function, builds per-
-/// partition histograms on demand, and exposes the sibling-relative averages
+/// partition histograms, and exposes the sibling-relative averages
 /// Algorithm 2 needs.
 ///
-/// All evaluation paths are memoized through an EvaluatorCache keyed by
-/// partition row-set fingerprints: a partition reached twice (sibling
-/// re-evaluation, beam overlap, different split orders producing the same
-/// cell) pays for its histogram and its divergences once. The cache is
-/// internal to this evaluator — it is never valid for a different score
-/// vector — and cache-on/off results are bit-identical.
+/// Nothing is memoized: a 1-D EMD over a few bins costs less than a locked
+/// hash lookup would. Searches that revisit a partition carry its
+/// Histogram with it instead (unbalanced, exhaustive), so the averages
+/// below take histograms.
 ///
 /// Thread-compatible: logically const after construction; all accessors are
-/// const (the cache is internally synchronized).
+/// const (the work counters are atomic).
 class UnfairnessEvaluator {
  public:
   /// `table` must outlive the evaluator; `scores` must have one entry per
@@ -124,6 +136,12 @@ class UnfairnessEvaluator {
   /// Score histogram of one partition.
   Histogram BuildHistogram(const Partition& partition) const;
 
+  /// BuildHistogram of every partition, in order.
+  std::vector<Histogram> BuildHistograms(const Partitioning& partitioning) const;
+
+  /// Divergence between two non-empty histograms of this evaluator's shape.
+  StatusOr<double> Distance(const Histogram& a, const Histogram& b) const;
+
   /// Divergence between two partitions' histograms. Both must be non-empty
   /// (guaranteed for splitter-produced partitions).
   StatusOr<double> Distance(const Partition& a, const Partition& b) const;
@@ -133,38 +151,42 @@ class UnfairnessEvaluator {
   StatusOr<double> AveragePairwiseUnfairness(
       const Partitioning& partitioning) const;
 
+  /// The same average over already-built histograms; bit-identical to
+  /// AveragePairwiseUnfairness of the partitions they were built from.
+  StatusOr<double> AveragePairwise(
+      const std::vector<Histogram>& histograms) const;
+
   /// Algorithm 2's averageEMD(current, siblings, f): mean divergence between
   /// `current` and each sibling; 0 when `siblings` is empty.
   StatusOr<double> AverageWithSiblings(
-      const Partition& current, const std::vector<Partition>& siblings) const;
+      const Histogram& current, const std::vector<Histogram>& siblings) const;
 
   /// Algorithm 2's averageEMD(children, siblings, f), per the configured
   /// SiblingComparison reading; 0 when there are fewer than two histograms
   /// or no qualifying pairs.
   StatusOr<double> AverageChildrenWithSiblings(
-      const std::vector<Partition>& children,
-      const std::vector<Partition>& siblings) const;
+      const std::vector<Histogram>& children,
+      const std::vector<Histogram>& siblings) const;
 
-  /// All pairwise divergences of `partitioning`, flattened in upper-triangle
-  /// order: pair (i, j), i < j, lands at the slot both
-  /// AveragePairwiseUnfairness and TopDivergentPairs read — one memoized
-  /// computation serves both. Honors the deadline/cancel options like
-  /// AveragePairwiseUnfairness; fewer than two partitions yields an empty
-  /// vector.
+  /// All pairwise divergences of `histograms`, flattened in upper-triangle
+  /// order: pair (i, j), i < j, lands at the slot both AveragePairwise and
+  /// TopDivergentPairs read. Honors the deadline/cancel options; fewer than
+  /// two histograms yields an empty vector. With an attached context, the
+  /// buffer (k(k-1)/2 doubles) is charged to its budget first.
   StatusOr<std::vector<double>> PairwiseDistances(
-      const Partitioning& partitioning) const;
+      const std::vector<Histogram>& histograms) const;
 
-  /// Attaches the search's ExecutionContext so net new cache memory is
-  /// charged against its ResourceBudget (see EvaluatorCache). Call before
-  /// the search starts; auditors do this for the search evaluator only.
+  /// Attaches the search's ExecutionContext: every pairwise-distance buffer
+  /// is charged to its ResourceBudget. A charge that exhausts the budget
+  /// does not fail the call; the exhaustion latches and the search
+  /// truncates at its next checkpoint. Call before the search starts;
+  /// auditors do this for the search evaluator only.
   void AttachExecutionContext(const ExecutionContext& context) {
-    cache_->AttachContext(context);
+    context_ = context;
   }
 
-  /// Cache counters so far (hits, misses = actual builds, evictions,
-  /// resident bytes). Meaningful with the cache disabled too: misses then
-  /// count every recomputation.
-  EvalCacheStats cache_stats() const { return cache_->Snapshot(); }
+  /// Work so far: histograms built and divergences computed.
+  EvalCacheStats cache_stats() const;
 
   /// Number of input scores outside [score_lo, score_hi] (0 under kReject,
   /// which refuses such inputs). Reports surface a warning when nonzero.
@@ -176,6 +198,11 @@ class UnfairnessEvaluator {
   const Divergence& divergence() const { return *divergence_; }
 
  private:
+  struct WorkCounters {
+    std::atomic<uint64_t> histograms{0};
+    std::atomic<uint64_t> divergences{0};
+  };
+
   UnfairnessEvaluator(const Table* table, std::vector<double> scores,
                       const EvaluatorOptions& options,
                       std::unique_ptr<Divergence> divergence,
@@ -185,30 +212,22 @@ class UnfairnessEvaluator {
         options_(options),
         divergence_(std::move(divergence)),
         num_out_of_range_(num_out_of_range),
-        cache_(options.shared_cache != nullptr
-                   ? options.shared_cache
-                   : std::make_shared<EvaluatorCache>(
-                         options.enable_cache, options.cache_max_bytes)) {}
+        work_(std::make_unique<WorkCounters>()) {}
 
-  /// The partition's histogram via the cache: lookup by fingerprint, build
-  /// and insert on a miss. Never null.
-  std::shared_ptr<const Histogram> CachedHistogram(
-      const Partition& partition) const;
-
-  /// The divergence of two histograms via the cache, keyed by the unordered
-  /// fingerprint pair. Runs the fault-injection divergence hook on the
-  /// compute (miss) path only.
-  StatusOr<double> CachedDistance(uint64_t fp_a, const Histogram& a,
-                                  uint64_t fp_b, const Histogram& b) const;
+  /// One divergence: the fault-injection hook, the computation and its
+  /// trace event. Callers count it via CountDivergences.
+  StatusOr<double> ComputeDistance(const Histogram& a,
+                                   const Histogram& b) const;
+  void CountDivergences(uint64_t n) const;
 
   const Table* table_;
   std::vector<double> scores_;
   EvaluatorOptions options_;
   std::unique_ptr<Divergence> divergence_;
   size_t num_out_of_range_ = 0;
-  /// shared_ptr so the evaluator stays movable/copyable; the cache contents
-  /// are keyed by row sets, which move with the score vector.
-  std::shared_ptr<EvaluatorCache> cache_;
+  std::unique_ptr<WorkCounters> work_;
+  /// Set by AttachExecutionContext; charges the pairwise buffers.
+  std::optional<ExecutionContext> context_;
 };
 
 /// One highly divergent partition pair — the "who exactly is treated

@@ -16,6 +16,15 @@ struct PendingNode {
   std::vector<size_t> attrs;
 };
 
+/// A PendingNode of the search, carrying the partition's histogram: built
+/// once when the partition is split off its parent, then reused by every
+/// partitioning that closes the node as a leaf.
+struct SearchNode {
+  Partition partition;
+  Histogram histogram;
+  std::vector<size_t> attrs;
+};
+
 class ExhaustiveAlgorithm : public PartitioningAlgorithm {
  public:
   explicit ExhaustiveAlgorithm(const ExhaustiveOptions& options)
@@ -37,9 +46,9 @@ class ExhaustiveAlgorithm : public PartitioningAlgorithm {
 
     Partition root = MakeRootPartition(eval.table().num_rows());
     std::vector<size_t> attrs_copy = attrs;  // For the beam fallback.
-    std::vector<PendingNode> pending;
-    pending.push_back({root, std::move(attrs)});
-    Partitioning leaves;
+    std::vector<SearchNode> pending;
+    pending.push_back({root, eval.BuildHistogram(root), std::move(attrs)});
+    Leaves leaves;
     FAIRRANK_RETURN_NOT_OK(Recurse(eval, &pending, &leaves));
 
     SearchResult result;
@@ -82,8 +91,15 @@ class ExhaustiveAlgorithm : public PartitioningAlgorithm {
     }
   }
 
+  /// The leaves of the partitioning being built. `partitions` point into
+  /// the Recurse frames that closed them, which outlive the entries.
+  struct Leaves {
+    std::vector<const Partition*> partitions;
+    std::vector<Histogram> histograms;
+  };
+
   Status Recurse(const UnfairnessEvaluator& eval,
-                 std::vector<PendingNode>* pending, Partitioning* leaves) {
+                 std::vector<SearchNode>* pending, Leaves* leaves) {
     if (trip_ != ExhaustionReason::kNone) return Status::OK();  // Unwinding.
     if (pending->empty()) {
       // A complete partitioning: score it against the incumbent.
@@ -103,7 +119,7 @@ class ExhaustiveAlgorithm : public PartitioningAlgorithm {
       }
       ScopedSpan evaluate_span(context_->trace(), "evaluate",
                                context_->trace_parent());
-      StatusOr<double> avg = eval.AveragePairwiseUnfairness(*leaves);
+      StatusOr<double> avg = eval.AveragePairwise(leaves->histograms);
       if (!avg.ok()) {
         if (!IsExhaustion(avg.status())) return avg.status();
         trip_ = ExhaustionReasonFromStatus(avg.status());
@@ -111,18 +127,23 @@ class ExhaustiveAlgorithm : public PartitioningAlgorithm {
       }
       if (*avg > best_avg_) {
         best_avg_ = *avg;
-        best_ = *leaves;
+        best_.clear();
+        for (const Partition* leaf : leaves->partitions) {
+          best_.push_back(*leaf);
+        }
       }
       return Status::OK();
     }
 
-    PendingNode node = std::move(pending->back());
+    SearchNode node = std::move(pending->back());
     pending->pop_back();
 
     // Option 1: close this node as a leaf.
-    leaves->push_back(node.partition);
+    leaves->partitions.push_back(&node.partition);
+    leaves->histograms.push_back(node.histogram);
     FAIRRANK_RETURN_NOT_OK(Recurse(eval, pending, leaves));
-    leaves->pop_back();
+    leaves->partitions.pop_back();
+    leaves->histograms.pop_back();
 
     // Option 2: split on each remaining attribute with >= 2 represented
     // values (single-child splits would re-enumerate the same partitioning).
@@ -140,10 +161,13 @@ class ExhaustiveAlgorithm : public PartitioningAlgorithm {
       remaining.erase(remaining.begin() + static_cast<ptrdiff_t>(pos));
       size_t old_size = pending->size();
       for (Partition& child : children) {
-        pending->push_back({std::move(child), remaining});
+        Histogram histogram = eval.BuildHistogram(child);
+        pending->push_back(
+            {std::move(child), std::move(histogram), remaining});
       }
       FAIRRANK_RETURN_NOT_OK(Recurse(eval, pending, leaves));
-      pending->resize(old_size);
+      pending->erase(pending->begin() + static_cast<ptrdiff_t>(old_size),
+                     pending->end());
     }
 
     pending->push_back(std::move(node));

@@ -1,5 +1,6 @@
 #include "fairness/option_flags.h"
 
+#include <limits>
 #include <utility>
 
 #include "common/str_util.h"
@@ -68,18 +69,41 @@ StatusOr<ExecutionLimits> ParseExecutionLimits(const FlagParser& flags) {
   return limits;
 }
 
+namespace {
+
+/// An int-valued flag, rejected by name when outside [lo, hi] — before the
+/// int64 -> int cast could wrap it into a small, plausible value.
+StatusOr<int> GetBoundedInt(const FlagParser& flags, const std::string& name,
+                            int64_t fallback, int64_t lo, int64_t hi) {
+  FAIRRANK_ASSIGN_OR_RETURN(int64_t value, flags.GetInt(name, fallback));
+  if (value < lo || value > hi) {
+    return Status::InvalidArgument("--" + name + " must be in [" +
+                                   std::to_string(lo) + ", " +
+                                   std::to_string(hi) + "], got " +
+                                   std::to_string(value));
+  }
+  return static_cast<int>(value);
+}
+
+constexpr int64_t kIntMin = std::numeric_limits<int>::min();
+constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+
+}  // namespace
+
 StatusOr<AuditOptions> AuditOptionsFromFlags(const FlagParser& flags) {
   AuditOptions options;
   options.algorithm = flags.GetString("algorithm", "balanced");
-  FAIRRANK_ASSIGN_OR_RETURN(int64_t bins, flags.GetInt("bins", 10));
-  options.evaluator.num_bins = static_cast<int>(bins);
+  FAIRRANK_ASSIGN_OR_RETURN(options.evaluator.num_bins,
+                            GetBoundedInt(flags, "bins", 10, 1, kMaxBins));
   options.evaluator.divergence = flags.GetString("divergence", "emd");
   FAIRRANK_ASSIGN_OR_RETURN(int64_t seed, flags.GetInt("seed", 0));
   options.seed = static_cast<uint64_t>(seed);
-  FAIRRANK_ASSIGN_OR_RETURN(int64_t width, flags.GetInt("beam-width", 3));
-  options.beam_width = static_cast<int>(width);
-  FAIRRANK_ASSIGN_OR_RETURN(int64_t threads, flags.GetInt("threads", 1));
-  options.evaluator.num_threads = static_cast<int>(threads);
+  FAIRRANK_ASSIGN_OR_RETURN(
+      options.beam_width,
+      GetBoundedInt(flags, "beam-width", 3, kIntMin, kIntMax));
+  FAIRRANK_ASSIGN_OR_RETURN(
+      options.evaluator.num_threads,
+      GetBoundedInt(flags, "threads", 1, kIntMin, kIntMax));
   std::string attrs = flags.GetString("attributes", "");
   if (!attrs.empty()) {
     for (const std::string& name : Split(attrs, ',')) {
@@ -87,21 +111,14 @@ StatusOr<AuditOptions> AuditOptionsFromFlags(const FlagParser& flags) {
     }
   }
   FAIRRANK_ASSIGN_OR_RETURN(options.limits, ParseExecutionLimits(flags));
-  FAIRRANK_ASSIGN_OR_RETURN(bool no_cache, flags.GetBool("no-cache", false));
-  options.evaluator.enable_cache = !no_cache;
-  FAIRRANK_ASSIGN_OR_RETURN(int64_t cache_mb, flags.GetInt("cache-mb", 256));
-  if (cache_mb < 0) {
-    return Status::InvalidArgument("--cache-mb must be >= 0");
-  }
-  options.evaluator.cache_max_bytes = static_cast<uint64_t>(cache_mb) << 20;
   return options;
 }
 
 const std::vector<std::string>& AuditOptionFlagNames() {
   static const std::vector<std::string>* names = new std::vector<std::string>{
-      "algorithm",  "bins",      "divergence",    "seed",
-      "beam-width", "threads",   "attributes",    "timeout-ms",
-      "max-nodes",  "max-memory-mb", "no-cache",  "cache-mb",
+      "algorithm",  "bins",    "divergence", "seed",
+      "beam-width", "threads", "attributes", "timeout-ms",
+      "max-nodes",  "max-memory-mb",
   };
   return *names;
 }

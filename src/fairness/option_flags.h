@@ -31,9 +31,16 @@ StatusOr<std::unique_ptr<ScoringFunction>> MakeFunctionFromSpec(
 /// deadline/cancel/parent fields are left inert for the caller to compose.
 StatusOr<ExecutionLimits> ParseExecutionLimits(const FlagParser& flags);
 
+/// Largest `--bins` accepted: every partition of an audit allocates a
+/// histogram of that many doubles, so one request must not be able to ask
+/// for millions. Ten times the 100 bins bench/ablation_bins sweeps up to.
+inline constexpr int64_t kMaxBins = 1000;
+
 /// Parses the audit-shaping flags (algorithm, bins, divergence, seed,
-/// beam-width, threads, attributes, cache flags) plus ParseExecutionLimits
-/// into AuditOptions.
+/// beam-width, threads, attributes) plus ParseExecutionLimits into
+/// AuditOptions. `bins` must lie in [1, kMaxBins]; `beam-width` and
+/// `threads` must fit in an int. Violations are InvalidArgument errors
+/// naming the flag, raised before any narrowing cast.
 StatusOr<AuditOptions> AuditOptionsFromFlags(const FlagParser& flags);
 
 /// Exact set of flag names AuditOptionsFromFlags consumes. Callers append

@@ -11,34 +11,7 @@ Partition MakeRootPartition(size_t num_rows) {
   Partition root;
   root.rows.resize(num_rows);
   std::iota(root.rows.begin(), root.rows.end(), size_t{0});
-  root.fingerprint = RowSetFingerprint(root.rows);
   return root;
-}
-
-namespace {
-
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
-uint64_t RowSetFingerprint(const std::vector<size_t>& rows) {
-  // FNV-style fold over strongly mixed row indices, seeded with the size so
-  // prefixes of a row list never collide with the list itself.
-  uint64_t h = SplitMix64(0x66616972ULL ^ rows.size());  // "fair"
-  for (size_t row : rows) {
-    h = (h ^ SplitMix64(static_cast<uint64_t>(row))) * 0x100000001B3ULL;
-  }
-  return h == 0 ? 1 : h;
-}
-
-uint64_t PartitionFingerprint(const Partition& partition) {
-  if (partition.fingerprint != 0) return partition.fingerprint;
-  return RowSetFingerprint(partition.rows);
 }
 
 namespace {

@@ -30,13 +30,6 @@ struct Partition {
   std::vector<size_t> rows;
   std::vector<SplitStep> path;
   std::vector<std::vector<SplitStep>> merged_paths;
-  /// Stable 64-bit fingerprint of the row set, assigned at split/merge time
-  /// by the splitter (and MakeRootPartition); never 0 once assigned. Equal
-  /// row sets reached through different split orders share the fingerprint,
-  /// which is what lets the evaluator cache share histograms across
-  /// candidate partitionings. 0 means "not assigned" — evaluators fall back
-  /// to PartitionFingerprint, which recomputes it from `rows`.
-  uint64_t fingerprint = 0;
 
   size_t size() const { return rows.size(); }
   bool is_merged() const { return !merged_paths.empty(); }
@@ -48,18 +41,8 @@ struct Partition {
 /// checked by ValidatePartitioning in tests.
 using Partitioning = std::vector<Partition>;
 
-/// The root partition containing all `num_rows` rows, with an empty path
-/// and its fingerprint assigned.
+/// The root partition containing all `num_rows` rows, with an empty path.
 Partition MakeRootPartition(size_t num_rows);
-
-/// 64-bit fingerprint of a row set. Rows are hashed in sequence order, which
-/// is canonical here: every construction path (splitter, merger, spec
-/// application) emits rows in ascending table order. Never returns 0.
-uint64_t RowSetFingerprint(const std::vector<size_t>& rows);
-
-/// The partition's assigned fingerprint, or RowSetFingerprint(rows) when it
-/// was constructed without one (hand-built partitions in tests / specs).
-uint64_t PartitionFingerprint(const Partition& partition);
 
 /// Human-readable label of a partition's path, e.g.
 /// "Gender=Male & Language=English"; "<all>" for the root.

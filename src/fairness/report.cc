@@ -68,19 +68,13 @@ std::string FormatAuditReport(const AuditResult& result,
     }
     out += "\n";
   }
-  // Cache and range diagnostics print only when the audit recorded any, so
+  // Work and range diagnostics print only when the audit recorded any, so
   // hand-built results render exactly as before.
-  if (result.cache.histogram_lookups() > 0 ||
-      result.cache.divergence_lookups() > 0) {
-    out += "  cache: histograms " +
-           std::to_string(result.cache.histogram_hits) + "/" +
-           std::to_string(result.cache.histogram_lookups()) + " hits (" +
-           FormatDouble(100.0 * result.cache.histogram_hit_rate(), 1) +
-           "%), divergences " + std::to_string(result.cache.divergence_hits) +
-           "/" + std::to_string(result.cache.divergence_lookups()) +
-           " hits (" +
-           FormatDouble(100.0 * result.cache.divergence_hit_rate(), 1) +
-           "%), evictions " + std::to_string(result.cache.evictions) + "\n";
+  if (result.cache.histogram_misses > 0 || result.cache.divergence_misses > 0) {
+    out += "  work: " + std::to_string(result.cache.histogram_misses) +
+           " histograms built, " +
+           std::to_string(result.cache.divergence_misses) +
+           " divergences computed\n";
   }
   if (result.out_of_range_scores > 0) {
     out += "  warning: " + std::to_string(result.out_of_range_scores) +
@@ -183,17 +177,10 @@ std::string FormatAuditJson(const AuditResult& result) {
   out += "\"nodes_per_sec\":" + FormatDouble(result.nodes_per_sec, 1) + ",";
   out += "\"out_of_range_scores\":" +
          std::to_string(result.out_of_range_scores) + ",";
-  out += "\"cache\":{";
-  out += "\"histogram_hits\":" + std::to_string(result.cache.histogram_hits) +
-         ",";
-  out += "\"histogram_misses\":" +
-         std::to_string(result.cache.histogram_misses) + ",";
-  out += "\"divergence_hits\":" +
-         std::to_string(result.cache.divergence_hits) + ",";
-  out += "\"divergence_misses\":" +
-         std::to_string(result.cache.divergence_misses) + ",";
-  out += "\"evictions\":" + std::to_string(result.cache.evictions) + ",";
-  out += "\"bytes_used\":" + std::to_string(result.cache.bytes_used) + "},";
+  out += "\"work\":{\"histograms_built\":" +
+         std::to_string(result.cache.histogram_misses) +
+         ",\"divergences_computed\":" +
+         std::to_string(result.cache.divergence_misses) + "},";
   out += "\"attributes_used\":[";
   for (size_t i = 0; i < result.attributes_used.size(); ++i) {
     if (i > 0) out += ",";

@@ -29,7 +29,7 @@ class WorstAttributeSelector : public AttributeSelector {
 
   StatusOr<size_t> SelectLocal(const UnfairnessEvaluator& eval,
                                const Partition& current,
-                               const std::vector<Partition>& siblings,
+                               const std::vector<Histogram>& siblings,
                                const std::vector<size_t>& attrs) override {
     if (attrs.empty()) {
       return Status::InvalidArgument("no attributes to select from");
@@ -37,8 +37,8 @@ class WorstAttributeSelector : public AttributeSelector {
     size_t best_pos = 0;
     double best_avg = -1.0;
     for (size_t pos = 0; pos < attrs.size(); ++pos) {
-      std::vector<Partition> children =
-          SplitPartition(eval.table(), current, attrs[pos]);
+      std::vector<Histogram> children = eval.BuildHistograms(
+          SplitPartition(eval.table(), current, attrs[pos]));
       FAIRRANK_ASSIGN_OR_RETURN(
           double avg, eval.AverageChildrenWithSiblings(children, siblings));
       if (avg > best_avg) {
@@ -67,7 +67,7 @@ class RandomAttributeSelector : public AttributeSelector {
 
   StatusOr<size_t> SelectLocal(const UnfairnessEvaluator& eval,
                                const Partition& current,
-                               const std::vector<Partition>& siblings,
+                               const std::vector<Histogram>& siblings,
                                const std::vector<size_t>& attrs) override {
     (void)eval;
     (void)current;

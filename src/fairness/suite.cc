@@ -13,13 +13,11 @@ namespace fairrank {
 namespace {
 
 /// Everything one scoring-function column shares across its algorithm
-/// cells: the scores (computed once, not once per cell), the column's
-/// shared evaluator cache, and the scoring status poisoning the column's
-/// cells when ScoreAll failed.
+/// cells: the scores (computed once, not once per cell) and the scoring
+/// status poisoning the column's cells when ScoreAll failed.
 struct ColumnState {
   Status status;
   std::vector<double> scores;
-  std::shared_ptr<EvaluatorCache> cache;
 };
 
 }  // namespace
@@ -29,11 +27,6 @@ StatusOr<SuiteResult> AuditSuite::Run(
     const SuiteOptions& options) const {
   if (functions.empty()) {
     return Status::InvalidArgument("suite needs at least one function");
-  }
-  if (options.evaluator.shared_cache != nullptr) {
-    return Status::InvalidArgument(
-        "SuiteOptions::evaluator.shared_cache must be null — the suite "
-        "manages per-column cache sharing itself (share_column_cache)");
   }
   if (options.num_threads < 0) {
     return Status::InvalidArgument("num_threads must be >= 0");
@@ -70,12 +63,8 @@ StatusOr<SuiteResult> AuditSuite::Run(
   // respects the user's total --max-nodes/--max-memory-mb while the child
   // counters keep per-cell observability.
   ResourceBudget parent_budget = options.limits.MakeBudget();
-  const ExecutionContext grid_context(deadline, options.limits.cancel,
-                                      total_budget ? &parent_budget : nullptr);
 
-  // Score each function once per column and set up the column-shared
-  // evaluator caches (valid: one column = one score vector). Shared caches
-  // charge their growth against the grid context (parent budget in kTotal).
+  // Score each function once per column.
   std::vector<ColumnState> columns(num_functions);
   for (size_t f = 0; f < num_functions; ++f) {
     StatusOr<std::vector<double>> scores = functions[f]->ScoreAll(*table_);
@@ -83,11 +72,6 @@ StatusOr<SuiteResult> AuditSuite::Run(
       columns[f].scores = std::move(scores).value();
     } else {
       columns[f].status = scores.status();
-    }
-    if (options.share_column_cache) {
-      columns[f].cache = std::make_shared<EvaluatorCache>(
-          options.evaluator.enable_cache, options.evaluator.cache_max_bytes);
-      columns[f].cache->AttachContext(grid_context);
     }
   }
 
@@ -113,7 +97,6 @@ StatusOr<SuiteResult> AuditSuite::Run(
         AuditOptions audit_options;
         audit_options.algorithm = result.algorithms[a];
         audit_options.evaluator = options.evaluator;
-        audit_options.evaluator.shared_cache = columns[f].cache;
         audit_options.seed = options.seed + f;
         audit_options.protected_attributes = options.protected_attributes;
         audit_options.num_worst_pairs = 0;
@@ -154,22 +137,9 @@ StatusOr<SuiteResult> AuditSuite::Run(
       });
   result.summary.wall_seconds = wall.ElapsedSeconds();
 
-  // Column-level and suite-level rollups. With shared caches the per-cell
-  // counters are cumulative column snapshots, so totals come from the
-  // column caches themselves — summing cells would multi-count.
-  result.column_cache.assign(num_functions, EvalCacheStats());
-  for (size_t f = 0; f < num_functions; ++f) {
-    if (columns[f].cache != nullptr) {
-      result.column_cache[f] = columns[f].cache->Snapshot();
-    } else {
-      for (size_t a = 0; a < num_algorithms; ++a) {
-        result.column_cache[f].Add(result.cells[a][f].cache);
-      }
-    }
-    result.summary.cache.Add(result.column_cache[f]);
-  }
   for (const auto& row : result.cells) {
     for (const SuiteCell& cell : row) {
+      result.summary.cache.Add(cell.cache);
       result.summary.cell_seconds += cell.seconds;
       result.summary.total_nodes += cell.nodes_visited;
       if (cell.truncated) ++result.summary.cells_truncated;
@@ -220,7 +190,7 @@ std::string FormatSuiteCsv(const SuiteResult& result) {
   std::string out =
       "algorithm,function,unfairness,seconds,num_partitions,attributes,"
       "truncated,exhaustion_reason,nodes_visited,nodes_per_sec,"
-      "hist_hit_rate,div_hit_rate,error\n";
+      "histograms_built,divergences_computed,error\n";
   for (const auto& row : result.cells) {
     for (const SuiteCell& cell : row) {
       std::vector<std::string> fields = {
@@ -234,8 +204,8 @@ std::string FormatSuiteCsv(const SuiteResult& result) {
           ExhaustionReasonToString(cell.exhaustion_reason),
           std::to_string(cell.nodes_visited),
           FormatDouble(cell.nodes_per_sec, 1),
-          FormatDouble(cell.cache.histogram_hit_rate(), 3),
-          FormatDouble(cell.cache.divergence_hit_rate(), 3),
+          std::to_string(cell.cache.histogram_misses),
+          std::to_string(cell.cache.divergence_misses),
           CsvEscape(cell.error.ok() ? "" : cell.error.ToString()),
       };
       out += Join(fields, ",");
@@ -271,21 +241,11 @@ std::string FormatSuiteSummary(const SuiteResult& result) {
   out += " cells truncated, ";
   out += std::to_string(s.cells_failed);
   out += " failed\n";
-  out += "evaluator cache: histogram hit rate ";
-  out += FormatDouble(100.0 * s.cache.histogram_hit_rate(), 1);
-  out += "% (";
-  out += std::to_string(s.cache.histogram_hits);
-  out += "/";
-  out += std::to_string(s.cache.histogram_lookups());
-  out += "), divergence hit rate ";
-  out += FormatDouble(100.0 * s.cache.divergence_hit_rate(), 1);
-  out += "% (";
-  out += std::to_string(s.cache.divergence_hits);
-  out += "/";
-  out += std::to_string(s.cache.divergence_lookups());
-  out += "), evictions ";
-  out += std::to_string(s.cache.evictions);
-  out += "\n";
+  out += "work: ";
+  out += std::to_string(s.cache.histogram_misses);
+  out += " histograms built, ";
+  out += std::to_string(s.cache.divergence_misses);
+  out += " divergences computed\n";
   return out;
 }
 
@@ -293,7 +253,7 @@ std::string FormatSuiteSummaryCsv(const SuiteResult& result) {
   const SuiteSummary& s = result.summary;
   std::string out =
       "wall_seconds,cell_seconds,total_nodes,nodes_per_sec,cells_truncated,"
-      "cells_failed,hist_hit_rate,div_hit_rate,evictions\n";
+      "cells_failed,histograms_built,divergences_computed\n";
   std::vector<std::string> fields = {
       FormatDouble(s.wall_seconds, 6),
       FormatDouble(s.cell_seconds, 6),
@@ -301,9 +261,8 @@ std::string FormatSuiteSummaryCsv(const SuiteResult& result) {
       FormatDouble(s.nodes_per_sec, 1),
       std::to_string(s.cells_truncated),
       std::to_string(s.cells_failed),
-      FormatDouble(s.cache.histogram_hit_rate(), 3),
-      FormatDouble(s.cache.divergence_hit_rate(), 3),
-      std::to_string(s.cache.evictions),
+      std::to_string(s.cache.histogram_misses),
+      std::to_string(s.cache.divergence_misses),
   };
   out += Join(fields, ",");
   out += "\n";
@@ -312,17 +271,11 @@ std::string FormatSuiteSummaryCsv(const SuiteResult& result) {
 
 namespace {
 
-void AppendCacheJson(std::string& out, const EvalCacheStats& cache) {
-  out += "{\"histogram_hits\":";
-  out += std::to_string(cache.histogram_hits);
-  out += ",\"histogram_misses\":";
-  out += std::to_string(cache.histogram_misses);
-  out += ",\"divergence_hits\":";
-  out += std::to_string(cache.divergence_hits);
-  out += ",\"divergence_misses\":";
-  out += std::to_string(cache.divergence_misses);
-  out += ",\"evictions\":";
-  out += std::to_string(cache.evictions);
+void AppendWorkJson(std::string& out, const EvalCacheStats& work) {
+  out += "{\"histograms_built\":";
+  out += std::to_string(work.histogram_misses);
+  out += ",\"divergences_computed\":";
+  out += std::to_string(work.divergence_misses);
   out += "}";
 }
 
@@ -375,8 +328,8 @@ std::string FormatSuiteJson(const SuiteResult& result) {
       out += std::to_string(cell.nodes_visited);
       out += ",\"nodes_per_sec\":";
       out += FormatDouble(cell.nodes_per_sec, 1);
-      out += ",\"cache\":";
-      AppendCacheJson(out, cell.cache);
+      out += ",\"work\":";
+      AppendWorkJson(out, cell.cache);
       out += ",\"error\":\"";
       out += JsonEscape(cell.error.ok() ? "" : cell.error.ToString());
       out += "\"}";
@@ -396,8 +349,8 @@ std::string FormatSuiteJson(const SuiteResult& result) {
   out += std::to_string(s.cells_truncated);
   out += ",\"cells_failed\":";
   out += std::to_string(s.cells_failed);
-  out += ",\"cache\":";
-  AppendCacheJson(out, s.cache);
+  out += ",\"work\":";
+  AppendWorkJson(out, s.cache);
   out += "}}";
   return out;
 }

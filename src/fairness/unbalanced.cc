@@ -44,13 +44,14 @@ class UnbalancedAlgorithm : public PartitioningAlgorithm {
     size_t attr = attrs[*pos];
     attrs.erase(attrs.begin() + static_cast<ptrdiff_t>(*pos));
     std::vector<Partition> children = SplitPartition(eval.table(), root, attr);
+    std::vector<Histogram> histograms = eval.BuildHistograms(children);
 
     RunState state{&context, &result};
     Partitioning output;
     for (size_t i = 0; i < children.size(); ++i) {
-      std::vector<Partition> siblings = SiblingsOf(children, i);
-      FAIRRANK_RETURN_NOT_OK(
-          Recurse(eval, children[i], siblings, attrs, &state, &output));
+      FAIRRANK_RETURN_NOT_OK(Recurse(eval, children[i], histograms[i],
+                                     SiblingsOf(histograms, i), attrs, &state,
+                                     &output));
     }
     result.partitioning = std::move(output);
     return result;
@@ -71,9 +72,11 @@ class UnbalancedAlgorithm : public PartitioningAlgorithm {
     }
   };
 
-  static std::vector<Partition> SiblingsOf(const std::vector<Partition>& all,
+  /// The histograms of every partition but `skip`: siblings travel as
+  /// histograms only, never as row sets.
+  static std::vector<Histogram> SiblingsOf(const std::vector<Histogram>& all,
                                            size_t skip) {
-    std::vector<Partition> siblings;
+    std::vector<Histogram> siblings;
     siblings.reserve(all.size() - 1);
     for (size_t i = 0; i < all.size(); ++i) {
       if (i != skip) siblings.push_back(all[i]);
@@ -92,11 +95,13 @@ class UnbalancedAlgorithm : public PartitioningAlgorithm {
     return Status::OK();
   }
 
-  /// Algorithm 2. `attrs` is passed by value: each branch of the recursion
+  /// Algorithm 2. `histogram` is `current`'s, built once when its parent
+  /// was split. `attrs` is passed by value: each branch of the recursion
   /// consumes its own copy, so sibling subtrees may split on different
   /// attributes (the "unbalanced" tree).
   Status Recurse(const UnfairnessEvaluator& eval, const Partition& current,
-                 const std::vector<Partition>& siblings,
+                 const Histogram& histogram,
+                 const std::vector<Histogram>& siblings,
                  std::vector<size_t> attrs, RunState* state,
                  Partitioning* output) {
     if (attrs.empty() || state->tripped()) {  // Line 1-2 (or degrading).
@@ -114,7 +119,8 @@ class UnbalancedAlgorithm : public PartitioningAlgorithm {
     const int64_t trace_parent = state->context->trace_parent();
     int64_t eval_span =
         trace != nullptr ? trace->StartSpan("evaluate", trace_parent) : -1;
-    StatusOr<double> current_avg = eval.AverageWithSiblings(current, siblings);
+    StatusOr<double> current_avg =
+        eval.AverageWithSiblings(histogram, siblings);
     if (trace != nullptr) trace->EndSpan(eval_span);
     if (!current_avg.ok()) {
       return CloseOrFail(current_avg.status(), current, state, output);
@@ -129,10 +135,11 @@ class UnbalancedAlgorithm : public PartitioningAlgorithm {
     attrs.erase(attrs.begin() + static_cast<ptrdiff_t>(*pos));
     std::vector<Partition> children =
         SplitPartition(eval.table(), current, attr);
+    std::vector<Histogram> histograms = eval.BuildHistograms(children);
     int64_t children_span =
         trace != nullptr ? trace->StartSpan("evaluate", trace_parent) : -1;
     StatusOr<double> children_avg =
-        eval.AverageChildrenWithSiblings(children, siblings);
+        eval.AverageChildrenWithSiblings(histograms, siblings);
     if (trace != nullptr) trace->EndSpan(children_span);
     if (!children_avg.ok()) {
       return CloseOrFail(children_avg.status(), current, state, output);
@@ -142,8 +149,9 @@ class UnbalancedAlgorithm : public PartitioningAlgorithm {
       return Status::OK();
     }
     for (size_t i = 0; i < children.size(); ++i) {  // Lines 12-14.
-      FAIRRANK_RETURN_NOT_OK(Recurse(eval, children[i], SiblingsOf(children, i),
-                                     attrs, state, output));
+      FAIRRANK_RETURN_NOT_OK(Recurse(eval, children[i], histograms[i],
+                                     SiblingsOf(histograms, i), attrs, state,
+                                     output));
     }
     return Status::OK();
   }

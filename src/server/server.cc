@@ -24,13 +24,6 @@ namespace fairrank {
 
 namespace {
 
-/// Accumulated cache counters worth rolling up (all-zero snapshots are
-/// common for /healthz//stats and add lock traffic for nothing).
-bool HasCacheActivity(const EvalCacheStats& stats) {
-  return stats.histogram_lookups() != 0 || stats.divergence_lookups() != 0 ||
-         stats.evictions != 0;
-}
-
 Status SetNonBlocking(int fd) {
   int flags = fcntl(fd, F_GETFL, 0);
   if (flags < 0 || fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
@@ -351,7 +344,6 @@ void FairAuditServer::ServeConnection(int fd) {
                  path == "/stats" || path == "/metrics";
     stats_.RecordRequest(known ? path : "(other)", result.response.status,
                          seconds, result.truncated);
-    if (HasCacheActivity(result.cache)) stats_.RecordCache(result.cache);
 
     const double duration_ms = seconds * 1000.0;
     if (options_.log_sink) {
@@ -383,8 +375,8 @@ HandlerResult FairAuditServer::Route(const HttpRequest& request,
     // Observability must outlive admission: /metrics bypasses the gate and
     // is served even while draining, exactly when an operator most needs
     // it. Process-registry families (pipeline counters, audit histograms)
-    // come first, then the server's own request/shed/cache/budget families
-    // — both from the same state /stats snapshots.
+    // come first, then the server's own request/shed/response-cache/budget
+    // families — both from the same state /stats snapshots.
     result.response.content_type = "text/plain; version=0.0.4; charset=utf-8";
     result.response.body =
         MetricsRegistry::Global().RenderPrometheus() +

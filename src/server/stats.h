@@ -9,7 +9,6 @@
 #include "common/budget.h"
 #include "common/telemetry.h"
 #include "common/thread_annotations.h"
-#include "fairness/eval_cache.h"
 #include "server/admission.h"
 #include "server/response_cache.h"
 
@@ -28,10 +27,6 @@ class ServerStats {
   /// carried truncated results.
   void RecordRequest(const std::string& endpoint, int status, double seconds,
                      bool truncated) FAIRRANK_EXCLUDES(mutex_);
-
-  /// Rolls a finished request's evaluator-cache counters into the
-  /// process-wide rollup.
-  void RecordCache(const EvalCacheStats& stats) FAIRRANK_EXCLUDES(mutex_);
 
   /// A request shed before any work ran, keyed by admission verdict
   /// ("draining", "budget_exhausted", "overloaded") or by the listener's
@@ -84,7 +79,6 @@ class ServerStats {
   uint64_t keep_alive_reuses_ FAIRRANK_GUARDED_BY(mutex_) = 0;
   std::map<std::string, uint64_t> shed_ FAIRRANK_GUARDED_BY(mutex_);
   std::map<std::string, EndpointStats> endpoints_ FAIRRANK_GUARDED_BY(mutex_);
-  EvalCacheStats cache_ FAIRRANK_GUARDED_BY(mutex_);
 };
 
 }  // namespace fairrank

@@ -40,7 +40,21 @@ double Emd1DMass(const std::vector<double>& a, const std::vector<double>& b,
 
 StatusOr<double> Emd1D(const Histogram& a, const Histogram& b) {
   FAIRRANK_RETURN_NOT_OK(CheckComparable(a, b));
-  return Emd1DMass(a.Normalized(), b.Normalized(), a.bin_width());
+  // Emd1DMass over the normalized masses, normalizing bin by bin instead of
+  // into two temporary vectors: the same operations in the same order, so
+  // the same double, without two allocations per call on the audit's
+  // hottest path.
+  const std::vector<double>& ca = a.counts();
+  const std::vector<double>& cb = b.counts();
+  const double ta = a.total();
+  const double tb = b.total();
+  double emd = 0.0;
+  double cdf_diff = 0.0;
+  for (size_t i = 0; i < ca.size(); ++i) {
+    cdf_diff += ca[i] / ta - cb[i] / tb;
+    emd += std::abs(cdf_diff);
+  }
+  return emd * a.bin_width();
 }
 
 std::vector<std::vector<double>> Make1DCostMatrix(const Histogram& a,

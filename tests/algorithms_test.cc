@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "fairness/registry.h"
+#include "fairness/splitter.h"
 #include "marketplace/biased_scoring.h"
 #include "marketplace/generator.h"
 #include "marketplace/scoring.h"
@@ -215,6 +216,87 @@ TEST(UnbalancedTest, CanUseDifferentAttributesPerBranch) {
             used.end());
   EXPECT_NE(std::find(used.begin(), used.end(), worker_attrs::kCountry),
             used.end());
+}
+
+/// Algorithm 2 with every histogram rebuilt from the rows it describes:
+/// the oracle for the unbalanced search, which carries each partition's
+/// histogram instead and passes siblings as histograms only.
+void ReferenceRecurse(const UnfairnessEvaluator& eval, const Partition& current,
+                      const std::vector<Partition>& siblings,
+                      std::vector<size_t> attrs, Partitioning* out) {
+  if (attrs.empty()) {
+    out->push_back(current);
+    return;
+  }
+  const std::vector<Histogram> sibling_hists = eval.BuildHistograms(siblings);
+  const double current_avg =
+      eval.AverageWithSiblings(eval.BuildHistogram(current), sibling_hists)
+          .value();
+  size_t best = 0;
+  double best_avg = -1.0;
+  for (size_t pos = 0; pos < attrs.size(); ++pos) {
+    const double avg =
+        eval.AverageChildrenWithSiblings(
+                eval.BuildHistograms(
+                    SplitPartition(eval.table(), current, attrs[pos])),
+                sibling_hists)
+            .value();
+    if (avg > best_avg) {
+      best_avg = avg;
+      best = pos;
+    }
+  }
+  const size_t attr = attrs[best];
+  attrs.erase(attrs.begin() + static_cast<ptrdiff_t>(best));
+  if (current_avg >= best_avg) {
+    out->push_back(current);
+    return;
+  }
+  Partitioning children = SplitPartition(eval.table(), current, attr);
+  for (size_t i = 0; i < children.size(); ++i) {
+    Partitioning others = children;
+    others.erase(others.begin() + static_cast<ptrdiff_t>(i));
+    ReferenceRecurse(eval, children[i], others, attrs, out);
+  }
+}
+
+Partitioning ReferenceUnbalanced(const UnfairnessEvaluator& eval,
+                                 std::vector<size_t> attrs) {
+  Partitioning root{MakeRootPartition(eval.table().num_rows())};
+  const size_t pos =
+      MakeWorstAttributeSelector()->SelectGlobal(eval, root, attrs).value();
+  const size_t attr = attrs[pos];
+  attrs.erase(attrs.begin() + static_cast<ptrdiff_t>(pos));
+  Partitioning children = SplitPartition(eval.table(), root[0], attr);
+  Partitioning out;
+  for (size_t i = 0; i < children.size(); ++i) {
+    Partitioning others = children;
+    others.erase(others.begin() + static_cast<ptrdiff_t>(i));
+    ReferenceRecurse(eval, children[i], others, attrs, &out);
+  }
+  return out;
+}
+
+TEST(UnbalancedTest, CarriedHistogramsMatchAlgorithm2FromRows) {
+  Table workers = Workers(500);
+  for (SiblingComparison reading :
+       {SiblingComparison::kChildPairs, SiblingComparison::kAllPairs}) {
+    EvaluatorOptions options;
+    options.sibling_comparison = reading;
+    for (const auto& fn : {MakeF7(5), MakeF8(5), MakeF9(5),
+                           MakeAlphaFunction("f1", 0.5)}) {
+      UnfairnessEvaluator eval = MakeEvaluator(&workers, *fn, options);
+      const std::vector<size_t> attrs = workers.schema().ProtectedIndices();
+      Partitioning expected = ReferenceUnbalanced(eval, attrs);
+      Partitioning got =
+          MakeAlgorithmByName("unbalanced").value()->Run(eval, attrs).value();
+      ASSERT_EQ(got.size(), expected.size()) << fn->Name();
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].rows, expected[i].rows) << fn->Name() << " " << i;
+        EXPECT_EQ(got[i].path, expected[i].path) << fn->Name() << " " << i;
+      }
+    }
+  }
 }
 
 TEST(AllAttributesTest, UsesEveryAttribute) {

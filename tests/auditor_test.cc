@@ -1,7 +1,12 @@
 #include "fairness/auditor.h"
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "fairness/registry.h"
 #include "marketplace/biased_scoring.h"
 #include "marketplace/generator.h"
 #include "marketplace/worker.h"
@@ -215,6 +220,139 @@ TEST(AuditorTest, SeedAffectsRandomBaseline) {
     first_split_attrs.insert(result->partitioning[0].path[0].attr_index);
   }
   EXPECT_GT(first_split_attrs.size(), 1u);
+}
+
+std::vector<double> F1Scores(const Table& workers) {
+  return MakeAlphaFunction("f1", 0.5)->ScoreAll(workers).value();
+}
+
+/// A fresh evaluator over f1's scores: the oracle the audits must match.
+UnfairnessEvaluator FreshEvaluator(const Table& workers,
+                                   EvaluatorOptions options = {}) {
+  return UnfairnessEvaluator::Make(&workers, F1Scores(workers), options)
+      .value();
+}
+
+/// all-attributes splits on every attribute: a partitioning with many
+/// overlapping-in-lineage cells and well over 1,000 pairs at 500 workers.
+Partitioning FinePartitioning(const UnfairnessEvaluator& eval) {
+  auto algo = MakeAlgorithmByName("all-attributes").value();
+  return algo->Run(eval, eval.table().schema().ProtectedIndices()).value();
+}
+
+TEST(AuditorTest, TightMemoryBudgetDegradesGracefully) {
+  Table workers = Workers(500, 20190326);
+  FairnessAuditor auditor(&workers);
+  AuditOptions options;
+  options.algorithm = "balanced";
+  options.limits.max_memory_mb = 1;  // Far below the search's buffers.
+  StatusOr<AuditResult> result =
+      auditor.Audit(*MakeAlphaFunction("f1", 0.5), options);
+  // A tight budget is an answer, not an error: the pairwise buffers charged
+  // to it latch the exhaustion, and the search stops at its next checkpoint
+  // with a valid partitioning and exact metrics for it.
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->truncated);
+  EXPECT_EQ(result->exhaustion_reason, ExhaustionReason::kMemoryBudget);
+  EXPECT_STREQ(ExhaustionReasonToString(result->exhaustion_reason),
+               "memory-budget");
+  EXPECT_TRUE(IsValidPartitioning(result->partitioning, workers.num_rows()));
+  EXPECT_EQ(result->unfairness, FreshEvaluator(workers)
+                                    .AveragePairwiseUnfairness(
+                                        result->partitioning)
+                                    .value());
+}
+
+TEST(AuditorTest, PairwiseValuesAndWorkAreBitIdenticalAcrossThreads) {
+  Table workers = Workers(500, 20190326);
+  UnfairnessEvaluator serial = FreshEvaluator(workers);
+  Partitioning p = FinePartitioning(serial);
+  ASSERT_GE(p.size() * (p.size() - 1) / 2, 1000u);
+  serial = FreshEvaluator(workers);  // Reset the work counters.
+  EvaluatorOptions four;
+  four.num_threads = 4;
+  UnfairnessEvaluator parallel = FreshEvaluator(workers, four);
+
+  const double u1 = serial.AveragePairwiseUnfairness(p).value();
+  const double u4 = parallel.AveragePairwiseUnfairness(p).value();
+  EXPECT_EQ(u1, u4);
+  std::vector<DivergentPair> top1 = TopDivergentPairs(serial, p, 25).value();
+  std::vector<DivergentPair> top4 = TopDivergentPairs(parallel, p, 25).value();
+  ASSERT_EQ(top1.size(), top4.size());
+  for (size_t i = 0; i < top1.size(); ++i) {
+    EXPECT_EQ(top1[i].index_a, top4[i].index_a) << i;
+    EXPECT_EQ(top1[i].index_b, top4[i].index_b) << i;
+    EXPECT_EQ(top1[i].distance, top4[i].distance) << i;
+  }
+  // Every pair is computed exactly once per call, whatever the thread count.
+  const EvalCacheStats w1 = serial.cache_stats();
+  const EvalCacheStats w4 = parallel.cache_stats();
+  EXPECT_EQ(w1.histogram_misses, w4.histogram_misses);
+  EXPECT_EQ(w1.divergence_misses, w4.divergence_misses);
+  EXPECT_EQ(w1.histogram_misses, 2 * p.size());
+  EXPECT_EQ(w1.divergence_misses, p.size() * (p.size() - 1));
+  EXPECT_EQ(w1.histogram_hits + w1.divergence_hits + w1.bytes_used, 0u);
+}
+
+TEST(AuditorTest, ConcurrentAuditsShareNothingAndStayExact) {
+  // Whole audits in parallel, each on its own evaluators, all reading one
+  // table: the results must match a serial reference bit for bit.
+  Table workers = Workers(300, 20190326);
+  FairnessAuditor auditor(&workers);
+  auto fn = MakeAlphaFunction("f1", 0.5);
+  AuditOptions options;
+  options.algorithm = "unbalanced";
+  const AuditResult reference = auditor.Audit(*fn, options).value();
+
+  constexpr int kThreads = 8;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&]() {
+      StatusOr<AuditResult> mine = auditor.Audit(*fn, options);
+      if (!mine.ok() || mine->unfairness != reference.unfairness ||
+          mine->partitioning.size() != reference.partitioning.size() ||
+          mine->cache.divergence_misses !=
+              reference.cache.divergence_misses) {
+        mismatches.fetch_add(1, std::memory_order_relaxed);
+        return;
+      }
+      for (size_t i = 0; i < mine->partitioning.size(); ++i) {
+        if (mine->partitioning[i].rows != reference.partitioning[i].rows) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(AuditorTest, CarriedHistogramsMatchAFreshEvaluator) {
+  // Unbalanced and exhaustive build each histogram once, where its
+  // partition is split off, and carry it through the search. Their answer
+  // must score exactly what a fresh evaluator computes from the rows.
+  Table workers = Workers(200, 20190326);
+  FairnessAuditor auditor(&workers);
+  for (const char* algorithm : {"unbalanced", "exhaustive"}) {
+    AuditOptions options;
+    options.algorithm = algorithm;
+    // Three attributes keep the brute force complete (not truncated).
+    options.protected_attributes = {worker_attrs::kGender,
+                                    worker_attrs::kCountry,
+                                    worker_attrs::kLanguage};
+    AuditResult result =
+        auditor.Audit(*MakeAlphaFunction("f1", 0.5), options).value();
+    EXPECT_FALSE(result.truncated) << algorithm;
+    ASSERT_GE(result.partitioning.size(), 2u) << algorithm;
+    EXPECT_EQ(result.unfairness,
+              FreshEvaluator(workers)
+                  .AveragePairwiseUnfairness(result.partitioning)
+                  .value())
+        << algorithm;
+  }
 }
 
 }  // namespace

@@ -115,6 +115,9 @@ if "$FAIRAUDIT" audit --input "$WORKDIR/w.csv" --function f6 \
   --max-memory-mb -1 > /dev/null 2>&1; then
   fail "negative memory budget should fail"
 fi
+"$FAIRAUDIT" audit --input "$WORKDIR/w.csv" --function f6 --algorithm balanced \
+  --bins 4294967297 2>&1 | grep -q -- "--bins must be in" \
+  || fail "--bins beyond int must be rejected by name, not wrapped to 1 bin"
 
 # a misspelled flag must fail loudly, not silently run an unbounded audit.
 if "$FAIRAUDIT" audit --input "$WORKDIR/w.csv" --function f6 \

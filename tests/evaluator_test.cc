@@ -140,7 +140,8 @@ TEST(EvaluatorTest, AverageWithSiblingsEmptyIsZero) {
   Table table = MakeToyTable().value();
   UnfairnessEvaluator eval = MakeToyEvaluator(&table);
   Partition root = MakeRootPartition(table.num_rows());
-  EXPECT_DOUBLE_EQ(eval.AverageWithSiblings(root, {}).value(), 0.0);
+  EXPECT_DOUBLE_EQ(
+      eval.AverageWithSiblings(eval.BuildHistogram(root), {}).value(), 0.0);
 }
 
 TEST(EvaluatorTest, AverageWithSiblingsMatchesManualMean) {
@@ -150,12 +151,14 @@ TEST(EvaluatorTest, AverageWithSiblingsMatchesManualMean) {
   auto parts =
       SplitPartition(table, MakeRootPartition(table.num_rows()), language);
   ASSERT_EQ(parts.size(), 3u);
-  std::vector<Partition> siblings = {parts[1], parts[2]};
+  std::vector<Histogram> siblings = eval.BuildHistograms({parts[1], parts[2]});
   double manual = (eval.Distance(parts[0], parts[1]).value() +
                    eval.Distance(parts[0], parts[2]).value()) /
                   2.0;
-  EXPECT_NEAR(eval.AverageWithSiblings(parts[0], siblings).value(), manual,
-              1e-12);
+  EXPECT_NEAR(
+      eval.AverageWithSiblings(eval.BuildHistogram(parts[0]), siblings)
+          .value(),
+      manual, 1e-12);
 }
 
 TEST(EvaluatorTest, ChildPairsReadingCountsChildPairsOnly) {
@@ -176,9 +179,10 @@ TEST(EvaluatorTest, ChildPairsReadingCountsChildPairsOnly) {
     }
     sum += eval.Distance(male_children[i], siblings[0]).value();
   }
-  EXPECT_NEAR(
-      eval.AverageChildrenWithSiblings(male_children, siblings).value(),
-      sum / 6.0, 1e-12);
+  EXPECT_NEAR(eval.AverageChildrenWithSiblings(eval.BuildHistograms(male_children),
+                                               eval.BuildHistograms(siblings))
+                  .value(),
+              sum / 6.0, 1e-12);
 }
 
 TEST(EvaluatorTest, AllPairsReadingIncludesSiblingPairs) {
@@ -197,7 +201,9 @@ TEST(EvaluatorTest, AllPairsReadingIncludesSiblingPairs) {
   // children ∪ siblings.
   Partitioning combined(children.begin(), children.end());
   combined.insert(combined.end(), siblings.begin(), siblings.end());
-  EXPECT_NEAR(eval.AverageChildrenWithSiblings(children, siblings).value(),
+  EXPECT_NEAR(eval.AverageChildrenWithSiblings(eval.BuildHistograms(children),
+                                               eval.BuildHistograms(siblings))
+                  .value(),
               eval.AveragePairwiseUnfairness(combined).value(), 1e-12);
 }
 
@@ -209,7 +215,9 @@ TEST(EvaluatorTest, NoQualifyingPairsYieldsZero) {
       SplitPartition(table, MakeRootPartition(table.num_rows()), gender);
   // Single child, no siblings: no pairs at all.
   EXPECT_DOUBLE_EQ(
-      eval.AverageChildrenWithSiblings({children[0]}, {}).value(), 0.0);
+      eval.AverageChildrenWithSiblings({eval.BuildHistogram(children[0])}, {})
+          .value(),
+      0.0);
 }
 
 TEST(TopDivergentPairsTest, SortedAndClamped) {

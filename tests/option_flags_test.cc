@@ -1,7 +1,9 @@
 // Negative-path coverage for the shared CLI/HTTP option pipeline
 // (fairness/option_flags.h): overflow values, empty values, repeated
-// flags, and the negative-budget guard that must fire before any
-// int64 -> uint64 widening can wrap a "-1" into an unlimited budget.
+// flags, the negative-budget guard that must fire before any
+// int64 -> uint64 widening can wrap a "-1" into an unlimited budget, and
+// the range guard that must fire before any int64 -> int narrowing can
+// wrap a huge value into a small plausible one.
 
 #include "fairness/option_flags.h"
 
@@ -72,8 +74,7 @@ TEST(ParseExecutionLimitsTest, RepeatedValidThenInvalidFails) {
 }
 
 TEST(AuditOptionsFromFlagsTest, RejectsOverflowInts) {
-  for (const char* flag : {"bins", "seed", "beam-width", "threads",
-                           "cache-mb"}) {
+  for (const char* flag : {"bins", "seed", "beam-width", "threads"}) {
     FlagParser flags = MustParse({{flag, "9223372036854775808"}});
     StatusOr<AuditOptions> options = AuditOptionsFromFlags(flags);
     ASSERT_FALSE(options.ok()) << flag;
@@ -83,7 +84,7 @@ TEST(AuditOptionsFromFlagsTest, RejectsOverflowInts) {
 
 TEST(AuditOptionsFromFlagsTest, RejectsEmptyNumericValues) {
   for (const char* flag : {"bins", "seed", "beam-width", "threads",
-                           "timeout-ms", "cache-mb"}) {
+                           "timeout-ms"}) {
     FlagParser flags = MustParse({{flag, ""}});
     StatusOr<AuditOptions> options = AuditOptionsFromFlags(flags);
     ASSERT_FALSE(options.ok()) << flag;
@@ -91,20 +92,53 @@ TEST(AuditOptionsFromFlagsTest, RejectsEmptyNumericValues) {
   }
 }
 
-TEST(AuditOptionsFromFlagsTest, RejectsNegativeCacheMb) {
-  FlagParser flags = MustParse({{"cache-mb", "-1"}});
-  StatusOr<AuditOptions> options = AuditOptionsFromFlags(flags);
-  ASSERT_FALSE(options.ok());
-  EXPECT_EQ(options.status().code(), StatusCode::kInvalidArgument);
+TEST(AuditOptionsFromFlagsTest, RejectsValuesThatWouldNarrow) {
+  // Each of these fits in int64 but not in int: a bare static_cast<int>
+  // wrapped 4294967297 bins to 1, 4294967300 threads to 4 and 4294967298
+  // beam width to 2. The parser must refuse them by name instead.
+  for (const auto& [flag, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"bins", "4294967297"},
+           {"threads", "4294967300"},
+           {"beam-width", "4294967298"},
+           {"threads", "-2147483649"},
+           {"beam-width", "-4294967295"}}) {
+    FlagParser flags = MustParse({{flag, value}});
+    StatusOr<AuditOptions> options = AuditOptionsFromFlags(flags);
+    ASSERT_FALSE(options.ok()) << flag << "=" << value;
+    EXPECT_EQ(options.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(options.status().ToString().find("--" + flag),
+              std::string::npos)
+        << "error must name the offending flag: "
+        << options.status().ToString();
+  }
 }
 
-TEST(AuditOptionsFromFlagsTest, RejectsBadBooleans) {
-  for (const char* value : {"maybe", "2", ""}) {
-    FlagParser flags = MustParse({{"no-cache", value}});
+TEST(AuditOptionsFromFlagsTest, BinsAreCapped) {
+  for (const std::string& value :
+       {std::to_string(kMaxBins + 1), std::string("0"), std::string("-3")}) {
+    FlagParser flags = MustParse({{"bins", value}});
     StatusOr<AuditOptions> options = AuditOptionsFromFlags(flags);
-    ASSERT_FALSE(options.ok()) << "value '" << value << "'";
+    ASSERT_FALSE(options.ok()) << "bins=" << value;
     EXPECT_EQ(options.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(options.status().ToString().find("--bins"), std::string::npos);
   }
+  // The cap sits well above the 100 bins the bins ablation sweeps to.
+  for (int64_t bins : {int64_t{1}, int64_t{100}, kMaxBins}) {
+    FlagParser flags = MustParse({{"bins", std::to_string(bins)}});
+    StatusOr<AuditOptions> options = AuditOptionsFromFlags(flags);
+    ASSERT_TRUE(options.ok()) << options.status().ToString();
+    EXPECT_EQ(options->evaluator.num_bins, bins);
+  }
+}
+
+TEST(AuditOptionsFromFlagsTest, IntBoundsAreInclusive) {
+  FlagParser flags = MustParse(
+      {{"threads", "2147483647"}, {"beam-width", "-2147483648"}});
+  StatusOr<AuditOptions> options = AuditOptionsFromFlags(flags);
+  ASSERT_TRUE(options.ok()) << options.status().ToString();
+  EXPECT_EQ(options->evaluator.num_threads, 2147483647);
+  EXPECT_EQ(options->beam_width, -2147483647 - 1);
 }
 
 TEST(AuditOptionsFromFlagsTest, RepeatedFlagsLastWins) {
@@ -130,8 +164,7 @@ TEST(AuditOptionsFromFlagsTest, FlagNamesCoverEveryConsumedFlag) {
   const std::vector<std::string>& names = AuditOptionFlagNames();
   for (const char* flag :
        {"algorithm", "bins", "divergence", "seed", "beam-width", "threads",
-        "attributes", "timeout-ms", "max-nodes", "max-memory-mb", "no-cache",
-        "cache-mb"}) {
+        "attributes", "timeout-ms", "max-nodes", "max-memory-mb"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), flag), names.end())
         << flag << " missing from AuditOptionFlagNames()";
   }

@@ -54,7 +54,7 @@ TEST(WorstAttributeSelectorTest, LocalPicksCountryInsideGenderUnderF7) {
   auto children = SplitPartition(
       fx.workers(), MakeRootPartition(fx.workers().num_rows()), gender);
   ASSERT_EQ(children.size(), 2u);
-  std::vector<Partition> siblings = {children[1]};
+  std::vector<Histogram> siblings = {fx.eval().BuildHistogram(children[1])};
   std::vector<size_t> attrs = fx.workers().schema().ProtectedIndices();
   attrs.erase(std::find(attrs.begin(), attrs.end(), gender));
   size_t pos =

@@ -204,8 +204,7 @@ TEST(AuditSuiteTest, PerCellBudgetModeBoundsEachCell) {
 
 // The acceptance bar of the parallel scheduler: without budgets every
 // algorithm here is deterministic, so the grid must be bit-identical across
-// thread counts (shared column caches store exactly the values the uncached
-// path would compute).
+// thread counts.
 TEST(AuditSuiteTest, ParallelMatchesSerialBitIdentical) {
   Table workers = Workers(200);
   AuditSuite suite(&workers);
@@ -227,6 +226,11 @@ TEST(AuditSuiteTest, ParallelMatchesSerialBitIdentical) {
       EXPECT_EQ(lhs.num_partitions, rhs.num_partitions) << lhs.algorithm;
       EXPECT_EQ(lhs.attributes_used, rhs.attributes_used) << lhs.algorithm;
       EXPECT_EQ(lhs.nodes_visited, rhs.nodes_visited) << lhs.algorithm;
+      // Cells own their evaluators, so their work counters are exact too.
+      EXPECT_EQ(lhs.cache.histogram_misses, rhs.cache.histogram_misses)
+          << lhs.algorithm;
+      EXPECT_EQ(lhs.cache.divergence_misses, rhs.cache.divergence_misses)
+          << lhs.algorithm;
     }
   }
 }
@@ -254,13 +258,18 @@ TEST(AuditSuiteTest, SummaryAndJsonReportTheGrid) {
   options.algorithms = {"balanced", "unbalanced"};
   SuiteResult result = suite.Run({f1.get()}, options).value();
   uint64_t nodes = 0;
+  uint64_t divergences = 0;
   for (const auto& row : result.cells) {
-    for (const SuiteCell& cell : row) nodes += cell.nodes_visited;
+    for (const SuiteCell& cell : row) {
+      nodes += cell.nodes_visited;
+      EXPECT_GT(cell.cache.histogram_misses, 0u) << cell.algorithm;
+      divergences += cell.cache.divergence_misses;
+    }
   }
   EXPECT_EQ(result.summary.total_nodes, nodes);
+  EXPECT_EQ(result.summary.cache.divergence_misses, divergences);
   EXPECT_GT(result.summary.wall_seconds, 0.0);
   EXPECT_EQ(result.summary.cells_failed, 0u);
-  ASSERT_EQ(result.column_cache.size(), 1u);
   std::string summary = FormatSuiteSummary(result);
   EXPECT_NE(summary.find("2 cells"), std::string::npos) << summary;
   std::string summary_csv = FormatSuiteSummaryCsv(result);
@@ -269,19 +278,7 @@ TEST(AuditSuiteTest, SummaryAndJsonReportTheGrid) {
   EXPECT_NE(json.find("\"summary\""), std::string::npos);
   EXPECT_NE(json.find("\"cells\""), std::string::npos);
   EXPECT_NE(json.find("\"total_nodes\""), std::string::npos);
-}
-
-// The suite owns per-column cache sharing; a caller-supplied shared cache
-// would be reused across score vectors, which is invalid by construction.
-TEST(AuditSuiteTest, RejectsCallerSharedCache) {
-  Table workers = Workers();
-  AuditSuite suite(&workers);
-  auto f1 = MakeAlphaFunction("f1", 0.5);
-  SuiteOptions options;
-  options.evaluator.shared_cache =
-      std::make_shared<EvaluatorCache>(true, 0);
-  EXPECT_EQ(suite.Run({f1.get()}, options).status().code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_NE(json.find("\"divergences_computed\""), std::string::npos);
 }
 
 TEST(AuditSuiteTest, BiasedColumnDominatesRandomColumn) {
