@@ -17,7 +17,10 @@
 // identical cell/observation counts, audit unfairness within 1e-9, same
 // partition count — and the harness dies if they diverge: a scaling number
 // for a broken equivalence would be worthless. (tests/aggregate_test.cc
-// enforces the same property bit-identically.)
+// enforces the same property bit-identically.) In `--smoke` mode it also
+// dies unless the cell audits of balanced and unbalanced on f6 and f7 equal
+// the row-level FairnessAuditor bit for bit, so the CI smoke job guards the
+// search engine rows and cells share.
 //
 // Prints a table and writes BENCH_scaling_millions.json with per-size rows
 // and the headline `speedup_vs_serial` (parallel Nt vs serial at the
@@ -32,6 +35,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -40,6 +44,7 @@
 #include "common/stopwatch.h"
 #include "common/str_util.h"
 #include "fairness/aggregate.h"
+#include "fairness/auditor.h"
 #include "fairness/report.h"
 #include "marketplace/biased_scoring.h"
 
@@ -68,12 +73,67 @@ struct SizeResult {
   std::exit(1);
 }
 
-SizeResult RunOneSize(size_t n, int threads) {
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+AuditOptions BalancedOptions() {
+  AuditOptions options;
+  options.algorithm = "balanced";
+  return options;
+}
+
+/// Dies unless every cell audit below equals the row audit of the same
+/// scores bit for bit: unfairness, partition labels and sizes in order.
+void CheckCellAuditsMatchRows(const Table& workers) {
+  FairnessAuditor auditor(&workers);
+  std::vector<std::unique_ptr<ScoringFunction>> functions;
+  functions.push_back(MakeF6(kDataSeed));
+  functions.push_back(MakeF7(kDataSeed));
+  for (const auto& fn : functions) {
+    StatusOr<std::vector<double>> scores = fn->ScoreAll(workers);
+    if (!scores.ok()) Die("scoring failed", scores.status());
+    StatusOr<CellStore> store = BuildCellStoreParallel(workers, *scores);
+    if (!store.ok()) Die("ingest failed", store.status());
+    for (const char* algorithm : {"balanced", "unbalanced"}) {
+      AuditOptions options;
+      options.algorithm = algorithm;
+      StatusOr<AuditResult> rows =
+          auditor.AuditScores(*scores, fn->Name(), options);
+      if (!rows.ok()) Die("row audit failed", rows.status());
+      StatusOr<AggregateAuditResult> cells = AuditAggregate(*store, options);
+      if (!cells.ok()) Die("cell audit failed", cells.status());
+      bool same = SameBits(rows->unfairness, cells->unfairness) &&
+                  rows->partitioning.size() == cells->partitions.size();
+      for (size_t i = 0; same && i < cells->partitions.size(); ++i) {
+        const Partition& row = rows->partitioning[i];
+        const AggregatePartition& cell = cells->partitions[i];
+        same = cell.size == row.size() &&
+               cell.label == PartitionLabel(workers.schema(), row);
+      }
+      if (!same) {
+        std::fprintf(stderr,
+                     "scaling_millions: %s cell audit of %s differs from the "
+                     "row audit (%.17g vs %.17g, %zu vs %zu partitions)\n",
+                     algorithm, fn->Name().c_str(), cells->unfairness,
+                     rows->unfairness, cells->partitions.size(),
+                     rows->partitioning.size());
+        std::exit(1);
+      }
+      std::printf("%s/%s: cell audit == row audit (%.6f, %zu partitions)\n",
+                  fn->Name().c_str(), algorithm, cells->unfairness,
+                  cells->partitions.size());
+    }
+  }
+}
+
+SizeResult RunOneSize(size_t n, int threads, bool check_rows) {
   SizeResult out;
   out.workers = n;
   std::printf("generating %zu workers (seed %llu)...\n", n,
               static_cast<unsigned long long>(kDataSeed));
   Table workers = MakeWorkers(n);
+  if (check_rows) CheckCellAuditsMatchRows(workers);
   auto f6 = MakeF6(kDataSeed);
   StatusOr<std::vector<double>> scores = f6->ScoreAll(workers);
   if (!scores.ok()) Die("scoring failed", scores.status());
@@ -131,10 +191,12 @@ SizeResult RunOneSize(size_t n, int threads) {
                  parallel_nt->num_observations(), serial->num_observations());
     std::exit(1);
   }
-  StatusOr<AggregateAuditResult> serial_audit = AuditAggregateBalanced(*serial);
+  StatusOr<AggregateAuditResult> serial_audit =
+      AuditAggregate(*serial, BalancedOptions());
   if (!serial_audit.ok()) Die("serial audit failed", serial_audit.status());
   Stopwatch audit_watch;
-  StatusOr<AggregateAuditResult> audit = AuditAggregateBalanced(*parallel_nt);
+  StatusOr<AggregateAuditResult> audit =
+      AuditAggregate(*parallel_nt, BalancedOptions());
   out.audit_seconds = audit_watch.ElapsedSeconds();
   if (!audit.ok()) Die("audit failed", audit.status());
   out.max_abs_unfairness_delta =
@@ -178,7 +240,7 @@ int main(int argc, char** argv) {
   std::printf("ingest_threads=%d hardware_threads=%d%s\n", threads,
               HardwareThreads(), smoke ? " (smoke)" : "");
   std::vector<SizeResult> results;
-  for (size_t n : sizes) results.push_back(RunOneSize(n, threads));
+  for (size_t n : sizes) results.push_back(RunOneSize(n, threads, smoke));
 
   TextTable table;
   table.SetHeader({"workers", "serial rows/s", "1t rows/s",

@@ -73,7 +73,7 @@ class AgglomerativeAlgorithm : public PartitioningAlgorithm {
       }
       result.nodes_visited += k - i - 1;
       for (size_t j = i + 1; j < k; ++j) {
-        StatusOr<double> d = TracedDistance(eval, context, hists[i], hists[j]);
+        StatusOr<double> d = eval.Distance(hists[i], hists[j]);
         if (!d.ok()) {
           result.partitioning = std::move(current);
           return DegradeOnExhaustion(std::move(result), d.status());
@@ -129,7 +129,7 @@ class AgglomerativeAlgorithm : public PartitioningAlgorithm {
       double new_sum = sum - best_d;
       for (size_t m = 0; m < k; ++m) {
         if (!alive[m] || m == best_i || m == best_j) continue;
-        StatusOr<double> d = TracedDistance(eval, context, combined, hists[m]);
+        StatusOr<double> d = eval.Distance(combined, hists[m]);
         if (!d.ok()) {
           result.partitioning = std::move(best);
           return DegradeOnExhaustion(std::move(result), d.status());
@@ -172,21 +172,6 @@ class AgglomerativeAlgorithm : public PartitioningAlgorithm {
   }
 
  private:
-  /// The merge loops call the divergence directly on their merged
-  /// histograms, so "emd" events are recorded here rather than by the
-  /// evaluator.
-  static StatusOr<double> TracedDistance(const UnfairnessEvaluator& eval,
-                                         const ExecutionContext& context,
-                                         const Histogram& a,
-                                         const Histogram& b) {
-    if (context.trace() == nullptr) return eval.divergence().Distance(a, b);
-    const uint64_t start_ns = TraceNowNanos();
-    StatusOr<double> d = eval.divergence().Distance(a, b);
-    context.trace()->AddEvent("emd", context.trace_parent(),
-                              TraceNowNanos() - start_ns);
-    return d;
-  }
-
   static double PairCount(size_t live) {
     return static_cast<double>(live) * static_cast<double>(live - 1) / 2.0;
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 #include <optional>
 #include <utility>
 
@@ -11,6 +12,7 @@
 #include "common/str_util.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
+#include "fairness/registry.h"
 
 namespace fairrank {
 namespace {
@@ -42,7 +44,7 @@ struct AggregateMetrics {
           "Wall-clock seconds of one parallel cell-store ingest");
       m->audits = registry.GetCounter(
           "fairrank_aggregate_audits_total",
-          "Completed aggregate (cell-store) balanced audits");
+          "Completed aggregate (cell-store) audits");
       return m;
     }();
     return *metrics;
@@ -455,167 +457,131 @@ StatusOr<CellStore> BuildCellStoreParallel(const Table& table,
   return result;
 }
 
-std::string AggregatePartitionLabel(const std::vector<AttributeSpec>& specs,
-                                    const AggregatePartition& partition) {
-  if (partition.constraints.empty()) return "<all>";
-  std::string label;
-  for (size_t i = 0; i < partition.constraints.size(); ++i) {
-    const auto& [spec_index, group] = partition.constraints[i];
-    if (i > 0) label += " & ";
-    label += specs[spec_index].name();
-    label += "=";
-    label += specs[spec_index].GroupLabel(group);
-  }
-  return label;
-}
-
 namespace {
 
-/// Internal partition: constraints plus the keys of the cells it unions.
-struct WorkingPartition {
-  std::vector<std::pair<size_t, int>> constraints;
-  std::vector<const std::pair<const std::vector<int>, StoreCell>*> cells;
-  Histogram histogram;
-  size_t size = 0;  ///< Exact observation count (sum of cell counts).
-
-  explicit WorkingPartition(int bins, double lo, double hi)
-      : histogram(bins, lo, hi) {}
+/// The cell table of an aggregate audit: one categorical protected attribute
+/// per store spec (same name, labels GroupLabel(g)) and one row per cell in
+/// cells() order, with each row's histogram and exact count alongside.
+struct CellTable {
+  Table table;
+  std::vector<Histogram> histograms;
+  std::vector<size_t> counts;
 };
 
-StatusOr<double> AvgPairwise(const std::vector<WorkingPartition>& parts,
-                             const Divergence& divergence) {
-  if (parts.size() < 2) return 0.0;
-  double sum = 0.0;
-  size_t pairs = 0;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    for (size_t j = i + 1; j < parts.size(); ++j) {
-      FAIRRANK_ASSIGN_OR_RETURN(
-          double d,
-          divergence.Distance(parts[i].histogram, parts[j].histogram));
-      sum += d;
-      ++pairs;
+StatusOr<CellTable> MakeCellTable(const CellStore& store) {
+  Schema schema;
+  for (const AttributeSpec& spec : store.specs()) {
+    std::vector<std::string> labels;
+    for (int g = 0; g < spec.num_groups(); ++g) {
+      labels.push_back(spec.GroupLabel(g));
     }
+    FAIRRANK_RETURN_NOT_OK(schema.AddAttribute(AttributeSpec::Categorical(
+        spec.name(), AttributeRole::kProtected, std::move(labels))));
   }
-  return sum / static_cast<double>(pairs);
+  CellTable cells{Table(std::move(schema)), {}, {}};
+  cells.table.Reserve(store.num_cells());
+  cells.histograms.reserve(store.num_cells());
+  cells.counts.reserve(store.num_cells());
+  std::vector<Cell> row(store.specs().size());
+  for (const auto& [key, cell] : store.cells()) {
+    for (size_t a = 0; a < key.size(); ++a) {
+      row[a] = static_cast<int64_t>(key[a]);
+    }
+    FAIRRANK_RETURN_NOT_OK(cells.table.AppendRow(row));
+    cells.histograms.push_back(cell.histogram);
+    cells.counts.push_back(cell.count);
+  }
+  return cells;
 }
 
-/// Splits every partition on spec `attr`; cells group by key[attr].
-StatusOr<std::vector<WorkingPartition>> SplitAllCells(
-    const CellStore& store, const std::vector<WorkingPartition>& parts,
-    size_t attr) {
-  std::vector<WorkingPartition> result;
-  for (const WorkingPartition& part : parts) {
-    std::map<int, WorkingPartition> children;
-    for (const auto* cell : part.cells) {
-      int group = cell->first[attr];
-      auto it = children.find(group);
-      if (it == children.end()) {
-        WorkingPartition child(store.num_bins(), store.score_lo(),
-                               store.score_hi());
-        child.constraints = part.constraints;
-        child.constraints.emplace_back(attr, group);
-        it = children.emplace(group, std::move(child)).first;
-      }
-      it->second.cells.push_back(cell);
-      it->second.size += cell->second.count;
-      FAIRRANK_RETURN_NOT_OK(
-          it->second.histogram.MergeWith(cell->second.histogram));
-    }
-    for (auto& [group, child] : children) {
-      result.push_back(std::move(child));
+/// Appends the attributes on `path` not yet in `used`, in path order.
+void NoteAttributes(const std::vector<SplitStep>& path,
+                    std::vector<size_t>* used) {
+  for (const SplitStep& step : path) {
+    if (std::find(used->begin(), used->end(), step.attr_index) ==
+        used->end()) {
+      used->push_back(step.attr_index);
     }
   }
-  return result;
 }
 
 }  // namespace
 
-StatusOr<AggregateAuditResult> AuditAggregateBalanced(
-    const CellStore& store, const std::string& divergence_name,
-    const ExecutionContext& context) {
+StatusOr<AggregateAuditResult> AuditAggregate(const CellStore& store,
+                                              const AuditOptions& options,
+                                              const ExecutionContext& context) {
   if (store.num_cells() == 0) {
     return Status::FailedPrecondition("cell store is empty");
   }
-  FAIRRANK_ASSIGN_OR_RETURN(std::unique_ptr<Divergence> divergence,
-                            MakeDivergenceByName(divergence_name));
+  FAIRRANK_ASSIGN_OR_RETURN(CellTable cells, MakeCellTable(store));
+  const Schema& schema = cells.table.schema();
+  std::vector<size_t> attrs;
+  if (options.protected_attributes.empty()) {
+    attrs = schema.ProtectedIndices();
+  } else {
+    for (const std::string& name : options.protected_attributes) {
+      FAIRRANK_ASSIGN_OR_RETURN(size_t index, schema.FindIndex(name));
+      attrs.push_back(index);
+    }
+  }
 
   TraceContext* trace = context.trace();
   if (trace != nullptr && !trace->sampled()) trace = nullptr;
   ScopedSpan audit_span(trace, "aggregate_audit", context.trace_parent());
+  const ExecutionContext search_context =
+      context.WithTrace(trace, audit_span.id());
 
-  // Root partition holding every cell.
-  WorkingPartition root(store.num_bins(), store.score_lo(), store.score_hi());
-  for (const auto& cell : store.cells()) {
-    root.cells.push_back(&cell);
-    root.size += cell.second.count;
-    FAIRRANK_RETURN_NOT_OK(root.histogram.MergeWith(cell.second.histogram));
-  }
-  std::vector<WorkingPartition> current;
-  current.push_back(std::move(root));
+  EvaluatorOptions report_options = options.evaluator;
+  report_options.num_bins = store.num_bins();
+  report_options.score_lo = store.score_lo();
+  report_options.score_hi = store.score_hi();
+  report_options.trace = trace;
+  report_options.trace_parent = audit_span.id();
+  EvaluatorOptions search_options = report_options;
+  search_options.deadline = context.deadline();
+  search_options.cancel = context.cancel();
+  FAIRRANK_ASSIGN_OR_RETURN(
+      UnfairnessEvaluator search_eval,
+      UnfairnessEvaluator::MakeFromHistograms(&cells.table, cells.histograms,
+                                              search_options));
+  FAIRRANK_ASSIGN_OR_RETURN(
+      UnfairnessEvaluator eval,
+      UnfairnessEvaluator::MakeFromHistograms(
+          &cells.table, std::move(cells.histograms), report_options));
+  search_eval.AttachExecutionContext(search_context);
 
-  std::vector<size_t> attrs(store.specs().size());
-  for (size_t i = 0; i < attrs.size(); ++i) attrs[i] = i;
-  std::vector<size_t> used;
-
-  // Balanced (Algorithm 1) over cells: pick the worst attribute, split all,
-  // stop when the average pairwise divergence no longer increases. The
-  // context is checked between candidate evaluations: the cell space is
-  // tiny next to ingest, but a server deadline still has to be able to cut
-  // a pathological cross-product short.
-  auto select_worst = [&](const std::vector<WorkingPartition>& parts,
-                          const std::vector<size_t>& remaining)
-      -> StatusOr<size_t> {
-    size_t best_pos = 0;
-    double best_avg = -1.0;
-    for (size_t pos = 0; pos < remaining.size(); ++pos) {
-      ExhaustionReason reason = context.Check();
-      if (reason != ExhaustionReason::kNone) return ExhaustionStatus(reason);
-      FAIRRANK_ASSIGN_OR_RETURN(
-          std::vector<WorkingPartition> candidate,
-          SplitAllCells(store, parts, remaining[pos]));
-      FAIRRANK_ASSIGN_OR_RETURN(double avg,
-                                AvgPairwise(candidate, *divergence));
-      if (avg > best_avg) {
-        best_avg = avg;
-        best_pos = pos;
-      }
-    }
-    return best_pos;
-  };
-
-  double current_avg = 0.0;
-  bool first = true;
-  while (!attrs.empty()) {
-    ExhaustionReason reason = context.Check();
-    if (reason != ExhaustionReason::kNone) return ExhaustionStatus(reason);
-    FAIRRANK_ASSIGN_OR_RETURN(size_t pos, select_worst(current, attrs));
-    size_t attr = attrs[pos];
-    attrs.erase(attrs.begin() + static_cast<ptrdiff_t>(pos));
-    FAIRRANK_ASSIGN_OR_RETURN(std::vector<WorkingPartition> children,
-                              SplitAllCells(store, current, attr));
-    FAIRRANK_ASSIGN_OR_RETURN(double children_avg,
-                              AvgPairwise(children, *divergence));
-    if (!first && current_avg >= children_avg) break;
-    current = std::move(children);
-    current_avg = children_avg;
-    used.push_back(attr);
-    first = false;
-  }
+  AlgorithmConfig config;
+  config.seed = options.seed;
+  config.exhaustive = options.exhaustive;
+  config.beam_width = options.beam_width;
+  FAIRRANK_ASSIGN_OR_RETURN(std::unique_ptr<PartitioningAlgorithm> algorithm,
+                            MakeAlgorithmByName(options.algorithm, config));
+  FAIRRANK_ASSIGN_OR_RETURN(SearchResult search,
+                            algorithm->Run(search_eval, std::move(attrs),
+                                           search_context));
 
   AggregateAuditResult result;
-  result.unfairness = current_avg;
-  result.attributes_used = std::move(used);
-  result.partitions.reserve(current.size());
+  result.algorithm = algorithm->Name();
+  result.truncated = search.truncated;
+  result.exhaustion_reason = search.reason;
+  result.nodes_visited = search.nodes_visited;
+  FAIRRANK_ASSIGN_OR_RETURN(
+      result.unfairness, eval.AveragePairwiseUnfairness(search.partitioning));
+  result.partitions.reserve(search.partitioning.size());
   size_t covered = 0;
-  for (WorkingPartition& part : current) {
+  for (const Partition& p : search.partitioning) {
     AggregatePartition out;
-    out.constraints = std::move(part.constraints);
-    // Exact count, not histogram mass: clamped out-of-range scores (or
+    out.label = PartitionLabel(schema, p);
+    out.histogram = eval.BuildHistogram(p);
+    // Exact counts, not histogram mass: clamped out-of-range scores (or
     // future sketch mass) would silently desync the latter from
     // num_observations().
-    out.size = part.size;
-    covered += part.size;
-    out.histogram = std::move(part.histogram);
+    for (size_t cell : p.rows) out.size += cells.counts[cell];
+    covered += out.size;
+    NoteAttributes(p.path, &result.attributes_used);
+    for (const auto& path : p.merged_paths) {
+      NoteAttributes(path, &result.attributes_used);
+    }
     result.partitions.push_back(std::move(out));
   }
   if (covered != store.num_observations()) {
@@ -626,6 +592,15 @@ StatusOr<AggregateAuditResult> AuditAggregateBalanced(
   }
   AggregateMetrics::Get().audits->Increment();
   return result;
+}
+
+StatusOr<AggregateAuditResult> AuditAggregateBalanced(
+    const CellStore& store, const std::string& divergence,
+    const ExecutionContext& context) {
+  AuditOptions options;
+  options.algorithm = "balanced";
+  options.evaluator.divergence = divergence;
+  return AuditAggregate(store, options, context);
 }
 
 }  // namespace fairrank

@@ -2,16 +2,16 @@
 #define FAIRRANK_FAIRNESS_AGGREGATE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/budget.h"
 #include "common/status.h"
 #include "data/attribute.h"
 #include "data/table.h"
-#include "stats/divergence.h"
+#include "fairness/auditor.h"
 #include "stats/histogram.h"
 
 namespace fairrank {
@@ -19,15 +19,16 @@ namespace fairrank {
 /// Audit from aggregates: per-demographic-cell score histograms are a
 /// *sufficient statistic* for every partitioning the search space contains
 /// — any partition is a union of cells and its histogram is the bin-wise
-/// sum — so the full balanced search can run without retaining a single
+/// sum — so every search algorithm can run without retaining a single
 /// individual record. Use cases: privacy-constrained audits (only
 /// aggregate counts leave the platform), continuous audits over streams,
 /// and million-worker audits whose ingest is the only O(n) stage
 /// (BuildCellStoreParallel below).
 ///
-/// CellStore accumulates the cells; AuditAggregate runs the paper's
-/// balanced algorithm directly on them and provably matches the table-based
-/// audit with the same bin configuration (tested in aggregate_test).
+/// CellStore accumulates the cells; AuditAggregate runs any registered
+/// PartitioningAlgorithm on a table whose rows are the cells and provably
+/// matches the row-level audit with the same bin configuration (tested for
+/// every algorithm in aggregate_test).
 
 /// One demographic cell: the score histogram of every observation whose
 /// protected-group vector equals the cell key, plus the *exact* number of
@@ -144,11 +145,12 @@ StatusOr<CellStore> BuildCellStoreParallel(
     const CellStoreIngestOptions& options = CellStoreIngestOptions(),
     const ExecutionContext& context = ExecutionContext::Unbounded());
 
-/// One partition of an aggregate audit: which attribute/group constraints
-/// define it, its histogram, and how many workers it covers.
+/// One partition of an aggregate audit: its label, histogram, and how many
+/// workers it covers.
 struct AggregatePartition {
-  /// Pairs (spec index, group index), in split order.
-  std::vector<std::pair<size_t, int>> constraints;
+  /// PartitionLabel over the store's attributes: "Gender=Male &
+  /// Country=India", "<all>", or merged cells joined by " | ".
+  std::string label;
   Histogram histogram;
   /// Exact observation count (sum of the member cells' counts) — not
   /// histogram mass, which clamping or sketches can distort.
@@ -157,30 +159,41 @@ struct AggregatePartition {
   AggregatePartition() : histogram(1, 0.0, 1.0) {}
 };
 
-/// Result of an aggregate audit.
+/// Result of an aggregate audit. Partitions are in the order the search
+/// returned them.
 struct AggregateAuditResult {
+  std::string algorithm;
   std::vector<AggregatePartition> partitions;
   double unfairness = 0.0;
-  /// Spec indices split on, in order.
+  /// Spec indices used by any partition's path, in first-appearance order
+  /// (split order for balanced).
   std::vector<size_t> attributes_used;
+  /// As in AuditResult: a truncated answer is the best partitioning the
+  /// search found before the context's deadline, cancellation or budget.
+  bool truncated = false;
+  ExhaustionReason exhaustion_reason = ExhaustionReason::kNone;
+  uint64_t nodes_visited = 0;
 };
 
-/// Human-readable label of an aggregate partition ("Gender=Male &
-/// Country=India", "<all>").
-std::string AggregatePartitionLabel(const std::vector<AttributeSpec>& specs,
-                                    const AggregatePartition& partition);
-
-/// Runs the paper's balanced algorithm (worst-attribute greedy with the
-/// global stopping condition) directly on the store's cells, using
-/// `divergence` ("emd" reproduces the paper). Empty cells never exist (the
-/// store only materializes observed combinations), matching the splitter's
-/// empty-group behaviour.
+/// Runs `options.algorithm` (resolved with MakeAlgorithmByName, using the
+/// options' seed, beam width and exhaustive budget) on the store's cells.
+/// The cells become the rows of a table with one categorical attribute per
+/// store spec, and each row contributes its cell's histogram
+/// (UnfairnessEvaluator::MakeFromHistograms). Like AuditScores, the search
+/// evaluator is bounded by `context` and the reporting one is not.
 ///
-/// The partition sizes come from the cells' exact counts and are verified
-/// to sum to store.num_observations() (Internal error on desync). The
-/// optional context bounds the search: deadline / cancellation / budget
-/// exhaustion between split evaluations returns the matching
-/// ExhaustionStatus instead of an audit.
+/// The store fixes the bin configuration; `options.evaluator` supplies the
+/// divergence, sibling comparison, threads and out-of-range policy.
+/// `options.protected_attributes` restricts the search to the named specs
+/// (empty = all). `options.limits` is not read: `context` carries the
+/// bounds. Partition sizes come from the cells' exact counts and are
+/// verified to sum to store.num_observations() (Internal error on desync).
+StatusOr<AggregateAuditResult> AuditAggregate(
+    const CellStore& store, const AuditOptions& options,
+    const ExecutionContext& context = ExecutionContext::Unbounded());
+
+/// AuditAggregate with the balanced algorithm and `divergence`, for callers
+/// that predate it.
 StatusOr<AggregateAuditResult> AuditAggregateBalanced(
     const CellStore& store, const std::string& divergence = "emd",
     const ExecutionContext& context = ExecutionContext::Unbounded());

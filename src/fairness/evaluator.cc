@@ -47,15 +47,18 @@ void EvalCacheStats::Add(const EvalCacheStats& other) {
   bytes_used += other.bytes_used;
 }
 
-StatusOr<UnfairnessEvaluator> UnfairnessEvaluator::Make(
-    const Table* table, std::vector<double> scores,
-    const EvaluatorOptions& options) {
+namespace {
+
+/// The checks Make and MakeFromHistograms share: a table, one input per
+/// row, and a usable bin configuration.
+Status CheckInputs(const Table* table, size_t inputs, const char* what,
+                   const EvaluatorOptions& options) {
   if (table == nullptr) {
     return Status::InvalidArgument("table is null");
   }
-  if (scores.size() != table->num_rows()) {
+  if (inputs != table->num_rows()) {
     return Status::InvalidArgument(
-        "got " + std::to_string(scores.size()) + " scores for " +
+        "got " + std::to_string(inputs) + " " + what + " for " +
         std::to_string(table->num_rows()) + " rows");
   }
   if (options.num_bins < 1) {
@@ -64,6 +67,15 @@ StatusOr<UnfairnessEvaluator> UnfairnessEvaluator::Make(
   if (!(options.score_lo < options.score_hi)) {
     return Status::InvalidArgument("empty score range");
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+StatusOr<UnfairnessEvaluator> UnfairnessEvaluator::Make(
+    const Table* table, std::vector<double> scores,
+    const EvaluatorOptions& options) {
+  FAIRRANK_RETURN_NOT_OK(CheckInputs(table, scores.size(), "scores", options));
   size_t num_out_of_range = 0;
   for (size_t i = 0; i < scores.size(); ++i) {
     if (!std::isfinite(scores[i])) {
@@ -83,8 +95,35 @@ StatusOr<UnfairnessEvaluator> UnfairnessEvaluator::Make(
   }
   FAIRRANK_ASSIGN_OR_RETURN(std::unique_ptr<Divergence> divergence,
                             MakeDivergenceByName(options.divergence));
-  return UnfairnessEvaluator(table, std::move(scores), options,
+  return UnfairnessEvaluator(table, std::move(scores), {}, options,
                              std::move(divergence), num_out_of_range);
+}
+
+StatusOr<UnfairnessEvaluator> UnfairnessEvaluator::MakeFromHistograms(
+    const Table* table, std::vector<Histogram> row_histograms,
+    const EvaluatorOptions& options) {
+  FAIRRANK_RETURN_NOT_OK(
+      CheckInputs(table, row_histograms.size(), "histograms", options));
+  const Histogram shape(options.num_bins, options.score_lo, options.score_hi);
+  double clamped = 0.0;
+  for (size_t i = 0; i < row_histograms.size(); ++i) {
+    if (!row_histograms[i].SameShape(shape)) {
+      return Status::InvalidArgument(
+          "histogram " + std::to_string(i) +
+          " does not match the evaluator's bin configuration");
+    }
+    clamped += row_histograms[i].clamped_count();
+  }
+  if (clamped > 0.0 && options.out_of_range == OutOfRangePolicy::kReject) {
+    return Status::InvalidArgument(
+        "histograms hold scores outside the range and out_of_range is "
+        "kReject");
+  }
+  FAIRRANK_ASSIGN_OR_RETURN(std::unique_ptr<Divergence> divergence,
+                            MakeDivergenceByName(options.divergence));
+  return UnfairnessEvaluator(table, {}, std::move(row_histograms), options,
+                             std::move(divergence),
+                             static_cast<size_t>(clamped));
 }
 
 Histogram UnfairnessEvaluator::BuildHistogram(
@@ -93,7 +132,14 @@ Histogram UnfairnessEvaluator::BuildHistogram(
       options_.trace != nullptr ? TraceNowNanos() : 0;
   Histogram histogram(options_.num_bins, options_.score_lo,
                       options_.score_hi);
-  for (size_t row : partition.rows) histogram.Add(scores_[row]);
+  if (row_histograms_.empty()) {
+    for (size_t row : partition.rows) histogram.Add(scores_[row]);
+  } else {
+    // Shapes were checked by MakeFromHistograms, so the merge cannot fail.
+    for (size_t row : partition.rows) {
+      (void)histogram.MergeWith(row_histograms_[row]);
+    }
+  }
   work_->histograms.fetch_add(1, std::memory_order_relaxed);
   PipelineMetrics::Get().histogram_builds->Increment();
   if (options_.trace != nullptr) {

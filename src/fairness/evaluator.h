@@ -133,6 +133,17 @@ class UnfairnessEvaluator {
                                             std::vector<double> scores,
                                             const EvaluatorOptions& options);
 
+  /// An evaluator over a table whose rows each stand for many observations
+  /// (the cell table of an aggregate audit): row r contributes the whole
+  /// histogram `row_histograms[r]` instead of one score. Bin counts are
+  /// exact integer sums, so a partition's histogram is bit-identical to
+  /// adding every underlying score. Fails unless there is one histogram per
+  /// row, each of the options' bin configuration. scores() is empty;
+  /// num_out_of_range() is the summed clamped mass.
+  static StatusOr<UnfairnessEvaluator> MakeFromHistograms(
+      const Table* table, std::vector<Histogram> row_histograms,
+      const EvaluatorOptions& options);
+
   /// Score histogram of one partition.
   Histogram BuildHistogram(const Partition& partition) const;
 
@@ -193,6 +204,7 @@ class UnfairnessEvaluator {
   size_t num_out_of_range() const { return num_out_of_range_; }
 
   const Table& table() const { return *table_; }
+  /// One score per table row; empty for MakeFromHistograms evaluators.
   const std::vector<double>& scores() const { return scores_; }
   const EvaluatorOptions& options() const { return options_; }
   const Divergence& divergence() const { return *divergence_; }
@@ -204,11 +216,13 @@ class UnfairnessEvaluator {
   };
 
   UnfairnessEvaluator(const Table* table, std::vector<double> scores,
+                      std::vector<Histogram> row_histograms,
                       const EvaluatorOptions& options,
                       std::unique_ptr<Divergence> divergence,
                       size_t num_out_of_range)
       : table_(table),
         scores_(std::move(scores)),
+        row_histograms_(std::move(row_histograms)),
         options_(options),
         divergence_(std::move(divergence)),
         num_out_of_range_(num_out_of_range),
@@ -222,6 +236,8 @@ class UnfairnessEvaluator {
 
   const Table* table_;
   std::vector<double> scores_;
+  /// Set instead of scores_ by MakeFromHistograms.
+  std::vector<Histogram> row_histograms_;
   EvaluatorOptions options_;
   std::unique_ptr<Divergence> divergence_;
   size_t num_out_of_range_ = 0;

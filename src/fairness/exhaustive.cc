@@ -1,6 +1,5 @@
 #include "fairness/exhaustive.h"
 
-#include "common/stopwatch.h"
 #include "common/trace.h"
 #include "fairness/beam.h"
 #include "fairness/splitter.h"
@@ -8,6 +7,9 @@
 namespace fairrank {
 
 namespace {
+
+/// Beam width of the fallback search.
+constexpr int kFallbackBeamWidth = 4;
 
 /// One unresolved node of the partitioning tree being enumerated: a
 /// partition plus the attributes still allowed on its subtree.
@@ -42,7 +44,6 @@ class ExhaustiveAlgorithm : public PartitioningAlgorithm {
     best_.clear();
     trip_ = ExhaustionReason::kNone;
     context_ = &context;
-    stopwatch_.Restart();
 
     Partition root = MakeRootPartition(eval.table().num_rows());
     std::vector<size_t> attrs_copy = attrs;  // For the beam fallback.
@@ -78,7 +79,7 @@ class ExhaustiveAlgorithm : public PartitioningAlgorithm {
                       std::vector<size_t> attrs,
                       const ExecutionContext& context, SearchResult* result) {
     std::unique_ptr<PartitioningAlgorithm> beam =
-        MakeBeamAlgorithm(options_.fallback_beam_width);
+        MakeBeamAlgorithm(kFallbackBeamWidth);
     StatusOr<SearchResult> beam_result =
         beam->Run(eval, std::move(attrs), context.WithoutBudget());
     if (!beam_result.ok()) return;
@@ -108,10 +109,6 @@ class ExhaustiveAlgorithm : public PartitioningAlgorithm {
       if (why == ExhaustionReason::kNone &&
           evaluated_ > options_.max_partitionings) {
         why = ExhaustionReason::kNodeBudget;
-      }
-      if (why == ExhaustionReason::kNone && options_.max_seconds > 0.0 &&
-          stopwatch_.ElapsedSeconds() > options_.max_seconds) {
-        why = ExhaustionReason::kDeadline;
       }
       if (why != ExhaustionReason::kNone) {
         trip_ = why;
@@ -180,7 +177,6 @@ class ExhaustiveAlgorithm : public PartitioningAlgorithm {
   uint64_t evaluated_ = 0;
   double best_avg_ = -1.0;
   Partitioning best_;
-  Stopwatch stopwatch_;
 };
 
 uint64_t CountRecurse(const Table& table, std::vector<PendingNode>* pending,

@@ -17,17 +17,13 @@ struct ExhaustiveOptions {
   /// Maximum number of complete partitionings to evaluate before truncating
   /// (a built-in node budget, additive to any ExecutionContext budget).
   uint64_t max_partitionings = 1'000'000;
-  /// Wall-clock budget in seconds; <= 0 disables the time limit. Equivalent
-  /// to an ExecutionContext deadline (truncation reason "deadline").
-  double max_seconds = 0.0;
   /// When the *node* budget trips (max_partitionings or the context's
-  /// --max-nodes), rerun as a beam search — bounded by construction — under
-  /// the same deadline/cancellation but without the spent node budget, and
-  /// return whichever partitioning scores higher. Deadline or cancellation
-  /// trips never trigger the fallback: no time is left to spend.
+  /// --max-nodes), rerun as a width-4 beam search — bounded by construction
+  /// — under the same deadline/cancellation but without the spent node
+  /// budget, and return whichever partitioning scores higher. Deadline or
+  /// cancellation trips never trigger the fallback: no time is left to
+  /// spend. (Wall-clock bounds come from the ExecutionContext deadline.)
   bool fallback_to_beam = true;
-  /// Beam width of the fallback search.
-  int fallback_beam_width = 4;
 };
 
 /// Exact brute force over the space the heuristics navigate: every

@@ -1,6 +1,5 @@
 #include "fairness/option_flags.h"
 
-#include <limits>
 #include <utility>
 
 #include "common/str_util.h"
@@ -69,10 +68,6 @@ StatusOr<ExecutionLimits> ParseExecutionLimits(const FlagParser& flags) {
   return limits;
 }
 
-namespace {
-
-/// An int-valued flag, rejected by name when outside [lo, hi] — before the
-/// int64 -> int cast could wrap it into a small, plausible value.
 StatusOr<int> GetBoundedInt(const FlagParser& flags, const std::string& name,
                             int64_t fallback, int64_t lo, int64_t hi) {
   FAIRRANK_ASSIGN_OR_RETURN(int64_t value, flags.GetInt(name, fallback));
@@ -84,11 +79,6 @@ StatusOr<int> GetBoundedInt(const FlagParser& flags, const std::string& name,
   }
   return static_cast<int>(value);
 }
-
-constexpr int64_t kIntMin = std::numeric_limits<int>::min();
-constexpr int64_t kIntMax = std::numeric_limits<int>::max();
-
-}  // namespace
 
 StatusOr<AuditOptions> AuditOptionsFromFlags(const FlagParser& flags) {
   AuditOptions options;

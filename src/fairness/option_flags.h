@@ -1,6 +1,8 @@
 #ifndef FAIRRANK_FAIRNESS_OPTION_FLAGS_H_
 #define FAIRRANK_FAIRNESS_OPTION_FLAGS_H_
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,6 +32,17 @@ StatusOr<std::unique_ptr<ScoringFunction>> MakeFunctionFromSpec(
 /// int64 -> uint64 cast can wrap them into near-infinite budgets. The
 /// deadline/cancel/parent fields are left inert for the caller to compose.
 StatusOr<ExecutionLimits> ParseExecutionLimits(const FlagParser& flags);
+
+/// An int-valued flag (`fallback` when absent), rejected with an
+/// InvalidArgument naming `--<name>` when outside [lo, hi] — before the
+/// int64 -> int cast could wrap it into a small, plausible value. Every CLI
+/// and HTTP flag narrowed to an int goes through this; lo and hi must lie
+/// in [kIntMin, kIntMax].
+StatusOr<int> GetBoundedInt(const FlagParser& flags, const std::string& name,
+                            int64_t fallback, int64_t lo, int64_t hi);
+
+inline constexpr int64_t kIntMin = std::numeric_limits<int>::min();
+inline constexpr int64_t kIntMax = std::numeric_limits<int>::max();
 
 /// Largest `--bins` accepted: every partition of an audit allocates a
 /// histogram of that many doubles, so one request must not be able to ask

@@ -214,6 +214,7 @@ std::string FormatAggregateAuditReport(const CellStore& store,
                                        const ReportOptions& options) {
   std::string out;
   out += "aggregate audit (cell store)\n";
+  out += "  algorithm:      " + result.algorithm + "\n";
   out += "  function:       " + info.scoring_function + "\n";
   out += "  divergence:     " + info.divergence + "\n";
   out += "  unfairness:     " + FormatDouble(result.unfairness, 6) + "\n";
@@ -223,6 +224,12 @@ std::string FormatAggregateAuditReport(const CellStore& store,
          std::to_string(info.ingest_threads) + " thread" +
          (info.ingest_threads == 1 ? "" : "s") + ")\n";
   out += "  audit:          " + FormatDouble(info.audit_seconds, 3) + "s\n";
+  if (result.truncated) {
+    out += "  truncated:      search stopped early (" +
+           std::string(ExhaustionReasonToString(result.exhaustion_reason)) +
+           " after " + std::to_string(result.nodes_visited) +
+           " nodes); showing best partitioning found so far\n";
+  }
   std::vector<std::string> attr_names;
   attr_names.reserve(result.attributes_used.size());
   for (size_t index : result.attributes_used) {
@@ -240,8 +247,7 @@ std::string FormatAggregateAuditReport(const CellStore& store,
                                 result.partitions.size());
   for (size_t i = 0; i < limit; ++i) {
     const AggregatePartition& p = result.partitions[i];
-    table.AddRow({AggregatePartitionLabel(store.specs(), p),
-                  std::to_string(p.size)});
+    table.AddRow({p.label, std::to_string(p.size)});
   }
   out += table.ToString();
   if (limit < result.partitions.size()) {
@@ -251,8 +257,7 @@ std::string FormatAggregateAuditReport(const CellStore& store,
   if (options.include_histograms) {
     for (size_t i = 0; i < limit; ++i) {
       const AggregatePartition& p = result.partitions[i];
-      out += "\n" + AggregatePartitionLabel(store.specs(), p) + ":\n" +
-             p.histogram.ToAscii();
+      out += "\n" + p.label + ":\n" + p.histogram.ToAscii();
     }
   }
   return out;
@@ -263,10 +268,16 @@ std::string FormatAggregateAuditJson(const CellStore& store,
                                      const AggregateReportInfo& info) {
   std::string out = "{";
   out += "\"mode\":\"aggregate\",";
+  out += "\"algorithm\":\"" + JsonEscape(result.algorithm) + "\",";
   out += "\"scoring_function\":\"" + JsonEscape(info.scoring_function) +
          "\",";
   out += "\"divergence\":\"" + JsonEscape(info.divergence) + "\",";
   out += "\"unfairness\":" + FormatDouble(result.unfairness, 6) + ",";
+  out += std::string("\"truncated\":") +
+         (result.truncated ? "true" : "false") + ",";
+  out += "\"exhaustion_reason\":\"" +
+         std::string(ExhaustionReasonToString(result.exhaustion_reason)) +
+         "\",";
   out += "\"ingest_threads\":" + std::to_string(info.ingest_threads) + ",";
   out += "\"ingest_seconds\":" + FormatDouble(info.ingest_seconds, 6) + ",";
   out += "\"audit_seconds\":" + FormatDouble(info.audit_seconds, 6) + ",";
@@ -286,8 +297,7 @@ std::string FormatAggregateAuditJson(const CellStore& store,
   for (size_t i = 0; i < result.partitions.size(); ++i) {
     const AggregatePartition& p = result.partitions[i];
     if (i > 0) out += ",";
-    out += "{\"label\":\"" +
-           JsonEscape(AggregatePartitionLabel(store.specs(), p)) + "\",";
+    out += "{\"label\":\"" + JsonEscape(p.label) + "\",";
     out += "\"size\":" + std::to_string(p.size) + ",";
     out += "\"histogram\":[";
     for (size_t b = 0; b < p.histogram.counts().size(); ++b) {

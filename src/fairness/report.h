@@ -69,8 +69,8 @@ struct AggregateReportInfo {
 };
 
 /// Human-readable report of an aggregate (cell-store) audit: headline
-/// (function, unfairness, cells/observations, ingest + audit timing) plus a
-/// partition table, mirroring FormatAuditReport.
+/// (algorithm, function, unfairness, cells/observations, ingest + audit
+/// timing, truncation) plus a partition table, mirroring FormatAuditReport.
 std::string FormatAggregateAuditReport(
     const CellStore& store, const AggregateAuditResult& result,
     const AggregateReportInfo& info,
@@ -78,8 +78,9 @@ std::string FormatAggregateAuditReport(
 
 /// JSON rendering of an aggregate audit:
 /// {
-///   "mode": "aggregate", "scoring_function": ..., "divergence": ...,
-///   "unfairness": ..., "ingest_threads": ..., "ingest_seconds": ...,
+///   "mode": "aggregate", "algorithm": ..., "scoring_function": ...,
+///   "divergence": ..., "unfairness": ..., "truncated": ...,
+///   "exhaustion_reason": ..., "ingest_threads": ..., "ingest_seconds": ...,
 ///   "audit_seconds": ..., "num_cells": ..., "num_observations": ...,
 ///   "attributes_used": [names...],
 ///   "partitions": [{"label": ..., "size": ..., "histogram": [counts...]}]

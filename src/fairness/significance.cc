@@ -34,17 +34,7 @@ StatusOr<double> UnfairnessWithScores(const UnfairnessEvaluator& eval,
     for (size_t row : p.rows) h.Add(scores[row]);
     hists.push_back(std::move(h));
   }
-  double sum = 0.0;
-  size_t pairs = 0;
-  for (size_t i = 0; i < hists.size(); ++i) {
-    for (size_t j = i + 1; j < hists.size(); ++j) {
-      FAIRRANK_ASSIGN_OR_RETURN(
-          double d, eval.divergence().Distance(hists[i], hists[j]));
-      sum += d;
-      ++pairs;
-    }
-  }
-  return sum / static_cast<double>(pairs);
+  return eval.AveragePairwise(hists);
 }
 
 }  // namespace

@@ -50,7 +50,6 @@ StatusOr<SuiteResult> AuditSuite::Run(
 
   const size_t num_algorithms = result.algorithms.size();
   const size_t num_functions = functions.size();
-  const bool total_budget = options.budget_mode == SuiteBudgetMode::kTotal;
 
   // Arm the suite deadline once so every cell shares it; cells reached
   // after expiry degrade instantly instead of each getting a fresh
@@ -58,8 +57,8 @@ StatusOr<SuiteResult> AuditSuite::Run(
   // of the two wins (see SuiteOptions::limits).
   const Deadline deadline = options.limits.EffectiveDeadline();
 
-  // In kTotal mode one parent budget bounds the aggregate work: every cell
-  // gets a locally-unlimited child charging through to it, so the grid
+  // One parent budget bounds the aggregate work: every cell gets a
+  // locally-unlimited child charging through to it, so the grid
   // respects the user's total --max-nodes/--max-memory-mb while the child
   // counters keep per-cell observability.
   ResourceBudget parent_budget = options.limits.MakeBudget();
@@ -105,13 +104,7 @@ StatusOr<SuiteResult> AuditSuite::Run(
         // Spans from every cell land on the caller's trace (the recorder is
         // thread-safe); each cell's "audit" root carries its own subtree.
         audit_options.limits.trace = options.limits.trace;
-        if (total_budget) {
-          audit_options.limits.parent_budget = &parent_budget;
-        } else {
-          audit_options.limits.max_nodes = options.limits.max_nodes;
-          audit_options.limits.max_memory_mb = options.limits.max_memory_mb;
-          audit_options.limits.parent_budget = options.limits.parent_budget;
-        }
+        audit_options.limits.parent_budget = &parent_budget;
         StatusOr<AuditResult> audit = Status::Internal("audit not run");
         try {
           audit = auditor.AuditScores(columns[f].scores,

@@ -9,19 +9,6 @@
 
 namespace fairrank {
 
-/// How SuiteOptions::limits' node/memory budgets apply to the grid.
-enum class SuiteBudgetMode {
-  /// One parent budget for the whole grid: every cell charges a shared
-  /// hierarchical budget, so `max_nodes` / `max_memory_mb` bound the
-  /// *aggregate* work of all cells — the per-request shape a production
-  /// deployment needs. Cells reached after exhaustion degrade to truncated
-  /// best-so-far answers, keeping the grid complete. Default.
-  kTotal,
-  /// Legacy semantics: every cell gets the full allowance, so an A×F grid
-  /// may spend A×F times the stated budget.
-  kPerCell,
-};
-
 /// Configuration of a comparative audit grid (the shape of the paper's
 /// Tables 1-3: rows = algorithms, columns = scoring functions).
 struct SuiteOptions {
@@ -39,11 +26,11 @@ struct SuiteOptions {
   /// (late cells degrade to truncated best-so-far answers, keeping the grid
   /// complete). Precedence: when both a pre-armed finite `deadline` and a
   /// positive `timeout_ms` are supplied, the *earlier* of the two wins —
-  /// neither overrides the other. Node/memory budgets apply per
-  /// `budget_mode`.
+  /// neither overrides the other. The node/memory budgets bound the
+  /// *aggregate* work of all cells: every cell charges one shared
+  /// hierarchical budget, and cells reached after exhaustion degrade to
+  /// truncated best-so-far answers, keeping the grid complete.
   ExecutionLimits limits;
-  /// How `limits.max_nodes` / `limits.max_memory_mb` bound the grid.
-  SuiteBudgetMode budget_mode = SuiteBudgetMode::kTotal;
   /// Worker threads for the grid itself: cells are dispatched onto a
   /// dynamically scheduled pool (ParallelForEach), results assembled in
   /// deterministic (algorithm, function) order regardless of completion
@@ -104,10 +91,10 @@ class AuditSuite {
   explicit AuditSuite(const Table* table) : table_(table) {}
 
   /// Runs the grid: cells are scheduled onto SuiteOptions::num_threads
-  /// workers under one shared deadline and (in kTotal mode) one shared
-  /// hierarchical budget. A failing cell is captured in SuiteCell::error and
-  /// never aborts the grid; a non-OK return is reserved for invalid
-  /// configuration (empty/null functions, unknown algorithm names).
+  /// workers under one shared deadline and one shared hierarchical budget.
+  /// A failing cell is captured in SuiteCell::error and never aborts the
+  /// grid; a non-OK return is reserved for invalid configuration
+  /// (empty/null functions, unknown algorithm names).
   /// Functions are borrowed, not owned.
   StatusOr<SuiteResult> Run(
       const std::vector<const ScoringFunction*>& functions,

@@ -78,30 +78,25 @@ std::vector<std::string> KnownAuditParams() {
   known.push_back("function");
   known.push_back("dataset");
   known.push_back("aggregate");
-  known.push_back("ingest-threads");
   return known;
 }
 
 /// `/audit?aggregate=1`: the cell-store route — sharded ingest (bounded by
-/// the composed request limits) followed by the balanced audit over cells.
-/// Served out of the same handler so admission control, tracing, and the
-/// response cache (the canonicalizer folds `aggregate` and `ingest-threads`
-/// into the key by iterating FlagNames()) treat it like any audit.
-StatusOr<HandlerResult> RunAuditAggregate(const ServerEnv& env,
-                                          const FlagParser& flags,
-                                          const Table& table,
+/// the composed request limits, one shard per request thread) followed by
+/// the requested algorithm over the cells. Served out of the same handler so
+/// admission control, tracing, and the response cache (the canonicalizer
+/// folds `aggregate` into the key by iterating FlagNames(); truncated
+/// answers are never cached) treat it like any audit.
+StatusOr<HandlerResult> RunAuditAggregate(const Table& table,
                                           const ScoringFunction& fn,
                                           const AuditOptions& options) {
   FAIRRANK_ASSIGN_OR_RETURN(std::vector<double> scores, fn.ScoreAll(table));
-  FAIRRANK_ASSIGN_OR_RETURN(int64_t ingest_threads,
-                            flags.GetInt("ingest-threads", 1));
 
   CellStoreIngestOptions ingest;
   ingest.num_bins = options.evaluator.num_bins;
   ingest.score_lo = options.evaluator.score_lo;
   ingest.score_hi = options.evaluator.score_hi;
-  ingest.num_threads =
-      ClampThreads(static_cast<int>(ingest_threads), env.max_request_threads);
+  ingest.num_threads = options.evaluator.num_threads;
   ingest.protected_attributes = options.protected_attributes;
 
   ResourceBudget budget = options.limits.MakeBudget();
@@ -117,13 +112,13 @@ StatusOr<HandlerResult> RunAuditAggregate(const ServerEnv& env,
   info.ingest_seconds = ingest_timer.ElapsedSeconds();
 
   Stopwatch audit_timer;
-  FAIRRANK_ASSIGN_OR_RETURN(
-      AggregateAuditResult result,
-      AuditAggregateBalanced(store, options.evaluator.divergence, context));
+  FAIRRANK_ASSIGN_OR_RETURN(AggregateAuditResult result,
+                            AuditAggregate(store, options, context));
   info.audit_seconds = audit_timer.ElapsedSeconds();
 
   HandlerResult out;
   out.response.body = FormatAggregateAuditJson(store, result, info);
+  out.truncated = result.truncated;
   return out;
 }
 
@@ -132,7 +127,6 @@ std::vector<std::string> KnownSuiteParams() {
   known.push_back("functions");
   known.push_back("algorithms");
   known.push_back("suite-threads");
-  known.push_back("suite-budget");
   known.push_back("dataset");
   return known;
 }
@@ -154,7 +148,7 @@ StatusOr<HandlerResult> RunAudit(const ServerEnv& env,
       ClampThreads(options.evaluator.num_threads, env.max_request_threads);
 
   FAIRRANK_ASSIGN_OR_RETURN(bool aggregate, flags.GetBool("aggregate", false));
-  if (aggregate) return RunAuditAggregate(env, flags, *table, *fn, options);
+  if (aggregate) return RunAuditAggregate(*table, *fn, options);
 
   FairnessAuditor auditor(table);
   FAIRRANK_ASSIGN_OR_RETURN(AuditResult result, auditor.Audit(*fn, options));
@@ -199,21 +193,9 @@ StatusOr<HandlerResult> RunSuite(const ServerEnv& env,
   options.limits.trace = trace;
   options.evaluator.num_threads =
       ClampThreads(options.evaluator.num_threads, env.max_request_threads);
-  FAIRRANK_ASSIGN_OR_RETURN(int64_t suite_threads,
-                            flags.GetInt("suite-threads", 1));
-  if (suite_threads < 0) {
-    return Status::InvalidArgument("suite-threads must be >= 0");
-  }
-  options.num_threads =
-      ClampThreads(static_cast<int>(suite_threads), env.max_request_threads);
-  std::string budget_mode = flags.GetString("suite-budget", "total");
-  if (budget_mode == "total") {
-    options.budget_mode = SuiteBudgetMode::kTotal;
-  } else if (budget_mode == "per-cell") {
-    options.budget_mode = SuiteBudgetMode::kPerCell;
-  } else {
-    return Status::InvalidArgument("suite-budget must be total|per-cell");
-  }
+  FAIRRANK_ASSIGN_OR_RETURN(
+      int suite_threads, GetBoundedInt(flags, "suite-threads", 1, 0, kIntMax));
+  options.num_threads = ClampThreads(suite_threads, env.max_request_threads);
   AuditSuite suite(table);
   FAIRRANK_ASSIGN_OR_RETURN(SuiteResult result,
                             suite.Run(functions, options));

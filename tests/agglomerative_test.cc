@@ -120,6 +120,24 @@ TEST(AgglomerativeTest, MergedRowsStaySorted) {
   }
 }
 
+TEST(AgglomerativeTest, CountsEveryDivergenceThroughTheEvaluator) {
+  // The first distance matrix alone is k(k-1)/2 divergences, and each one
+  // goes through the evaluator's counters.
+  Table workers = Workers(300);
+  auto fn = MakeAlphaFunction("f", 0.5);
+  UnfairnessEvaluator eval = MakeEval(&workers, *fn);
+  const Schema& schema = workers.schema();
+  std::vector<size_t> attrs = {schema.FindIndex("Gender").value(),
+                               schema.FindIndex("Country").value(),
+                               schema.FindIndex("Language").value()};
+  auto all_attributes = MakeAlgorithmByName("all-attributes").value();
+  const uint64_t k = all_attributes->Run(eval, attrs).value().size();
+  ASSERT_GE(k, 3u);
+  const uint64_t before = eval.cache_stats().divergence_misses;
+  ASSERT_TRUE(MakeAgglomerativeAlgorithm()->Run(eval, attrs).ok());
+  EXPECT_GE(eval.cache_stats().divergence_misses - before, k * (k - 1) / 2);
+}
+
 TEST(AgglomerativeTest, EmptyAttributesYieldRoot) {
   Table workers = Workers(50);
   auto fn = MakeAlphaFunction("f1", 0.5);

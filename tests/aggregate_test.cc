@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -10,6 +13,7 @@
 #include "common/deadline.h"
 #include "common/fault_injection.h"
 #include "fairness/auditor.h"
+#include "fairness/registry.h"
 #include "marketplace/biased_scoring.h"
 #include "marketplace/generator.h"
 #include "marketplace/worker.h"
@@ -23,6 +27,17 @@ std::vector<AttributeSpec> ProtectedSpecs(const Table& table) {
     specs.push_back(table.schema().attribute(i));
   }
   return specs;
+}
+
+AuditOptions BalancedOptions(const std::string& divergence = "emd") {
+  AuditOptions options;
+  options.algorithm = "balanced";
+  options.evaluator.divergence = divergence;
+  return options;
+}
+
+AggregateAuditResult AuditBalanced(const CellStore& store) {
+  return AuditAggregate(store, BalancedOptions()).value();
 }
 
 CellStore FillStore(const Table& table, const std::vector<double>& scores) {
@@ -162,7 +177,7 @@ TEST(BuildCellStoreParallelTest, ShardedIngestMatchesSerialBitIdentical) {
   std::vector<double> scores = f6->ScoreAll(workers).value();
 
   CellStore serial = FillStore(workers, scores);
-  AggregateAuditResult serial_audit = AuditAggregateBalanced(serial).value();
+  AggregateAuditResult serial_audit = AuditBalanced(serial);
 
   for (int threads : {1, 2, 8}) {
     CellStoreIngestOptions options;
@@ -188,7 +203,7 @@ TEST(BuildCellStoreParallelTest, ShardedIngestMatchesSerialBitIdentical) {
       ++sharded_it;
     }
 
-    AggregateAuditResult audit = AuditAggregateBalanced(sharded).value();
+    AggregateAuditResult audit = AuditBalanced(sharded);
     EXPECT_EQ(audit.unfairness, serial_audit.unfairness) << threads;
     EXPECT_EQ(audit.partitions.size(), serial_audit.partitions.size())
         << threads;
@@ -275,8 +290,8 @@ TEST(BuildCellStoreParallelTest, FaultedShardSurfacesOneErrorCleanly) {
   CellStore serial = FillStore(workers, scores);
   EXPECT_EQ(rebuilt.num_observations(), serial.num_observations());
   EXPECT_EQ(rebuilt.num_cells(), serial.num_cells());
-  EXPECT_EQ(AuditAggregateBalanced(rebuilt).value().unfairness,
-            AuditAggregateBalanced(serial).value().unfairness);
+  EXPECT_EQ(AuditBalanced(rebuilt).unfairness,
+            AuditBalanced(serial).unfairness);
 }
 
 TEST(BuildCellStoreParallelTest, HonorsDeadlineAndMemoryBudget) {
@@ -308,61 +323,95 @@ TEST(BuildCellStoreParallelTest, HonorsDeadlineAndMemoryBudget) {
 TEST(AggregateAuditTest, EmptyStoreFails) {
   Schema schema = MakeToySchema().value();
   CellStore store({schema.attribute(0)}, 10, 0.0, 1.0);
-  EXPECT_EQ(AuditAggregateBalanced(store).status().code(),
+  EXPECT_EQ(AuditAggregate(store, BalancedOptions()).status().code(),
             StatusCode::kFailedPrecondition);
 }
 
-TEST(AggregateAuditTest, MatchesTableBasedBalancedAudit) {
-  // The headline property: auditing from per-cell aggregates must be
-  // *identical* to the table-based balanced audit with the same bins —
-  // same unfairness, same number of partitions, same attributes.
+// The shared engine is exact: every registered algorithm, run on the cells,
+// returns the row-level audit bit for bit — the same unfairness bits, the
+// same partitions (labels and sizes, in order), the same search work.
+TEST(AggregateAuditTest, EveryAlgorithmMatchesRowAuditBitForBit) {
   GeneratorOptions gen;
-  gen.num_workers = 500;
+  gen.num_workers = 400;
   gen.seed = 77;
   Table workers = GenerateWorkers(gen).value();
-  for (auto make_fn : {+[](uint64_t s) { return MakeF6(s); },
-                       +[](uint64_t s) { return MakeF7(s); }}) {
-    auto fn = make_fn(9);
+  std::vector<std::unique_ptr<ScoringFunction>> functions;
+  functions.push_back(MakeF6(9));
+  functions.push_back(MakeF7(9));
+  functions.push_back(MakeAlphaFunction("alpha=0.5", 0.5));
+  FairnessAuditor auditor(&workers);
+  for (const auto& fn : functions) {
     std::vector<double> scores = fn->ScoreAll(workers).value();
-
-    FairnessAuditor auditor(&workers);
-    AuditOptions options;
-    options.algorithm = "balanced";
-    AuditResult table_audit = auditor.Audit(*fn, options).value();
-
     CellStore store = FillStore(workers, scores);
-    AggregateAuditResult aggregate =
-        AuditAggregateBalanced(store).value();
+    for (const std::string& name : KnownAlgorithmNames()) {
+      SCOPED_TRACE(fn->Name() + " / " + name);
+      AuditOptions options;
+      options.algorithm = name;
+      options.seed = 5;
+      if (name == "exhaustive") {
+        options.protected_attributes = {"Gender", "Country", "Language"};
+      }
+      AuditResult rows =
+          auditor.AuditScores(scores, fn->Name(), options).value();
+      AggregateAuditResult cells = AuditAggregate(store, options).value();
 
-    EXPECT_NEAR(aggregate.unfairness, table_audit.unfairness, 1e-9)
-        << fn->Name();
-    EXPECT_EQ(aggregate.partitions.size(), table_audit.partitions.size())
-        << fn->Name();
-    EXPECT_EQ(aggregate.attributes_used.size(),
-              table_audit.attributes_used.size())
-        << fn->Name();
+      EXPECT_EQ(cells.algorithm, rows.algorithm);
+      EXPECT_EQ(std::memcmp(&cells.unfairness, &rows.unfairness,
+                            sizeof(double)),
+                0)
+          << cells.unfairness << " vs " << rows.unfairness;
+      EXPECT_EQ(cells.nodes_visited, rows.nodes_visited);
+      EXPECT_EQ(cells.truncated, rows.truncated);
+      ASSERT_EQ(cells.partitions.size(), rows.partitioning.size());
+      for (size_t i = 0; i < cells.partitions.size(); ++i) {
+        const Partition& row_partition = rows.partitioning[i];
+        EXPECT_EQ(cells.partitions[i].label,
+                  PartitionLabel(workers.schema(), row_partition))
+            << i;
+        EXPECT_EQ(cells.partitions[i].size, row_partition.size()) << i;
+      }
+      std::vector<std::string> used;
+      for (size_t spec : cells.attributes_used) {
+        used.push_back(store.specs()[spec].name());
+      }
+      std::sort(used.begin(), used.end());
+      std::vector<std::string> row_used = rows.attributes_used;
+      std::sort(row_used.begin(), row_used.end());
+      EXPECT_EQ(used, row_used);
+    }
   }
 }
 
-TEST(AggregateAuditTest, MatchesOnRandomFunctionToo) {
+TEST(AggregateAuditTest, UnknownAlgorithmIsNotFound) {
   GeneratorOptions gen;
-  gen.num_workers = 300;
-  gen.seed = 31;
+  gen.num_workers = 100;
+  gen.seed = 2;
   Table workers = GenerateWorkers(gen).value();
-  auto fn = MakeAlphaFunction("f1", 0.5);
-  std::vector<double> scores = fn->ScoreAll(workers).value();
-
-  FairnessAuditor auditor(&workers);
+  CellStore store = FillStore(workers, MakeF6(1)->ScoreAll(workers).value());
   AuditOptions options;
-  options.algorithm = "balanced";
-  AuditResult table_audit = auditor.Audit(*fn, options).value();
+  options.algorithm = "bogus";
+  EXPECT_EQ(AuditAggregate(store, options).status().code(),
+            StatusCode::kNotFound);
+}
 
-  CellStore store = FillStore(workers, scores);
-  AggregateAuditResult aggregate = AuditAggregateBalanced(store).value();
-  EXPECT_NEAR(aggregate.unfairness, table_audit.unfairness, 1e-9);
-  size_t total = 0;
-  for (const AggregatePartition& p : aggregate.partitions) total += p.size;
-  EXPECT_EQ(total, workers.num_rows());
+TEST(AggregateAuditTest, NodeBudgetTruncatesToACoveringAnswer) {
+  // The cell route degrades like the row route: a one-node budget returns
+  // the best partitioning so far, flagged, instead of an error.
+  GeneratorOptions gen;
+  gen.num_workers = 500;
+  gen.seed = 19;
+  Table workers = GenerateWorkers(gen).value();
+  auto fn = MakeAlphaFunction("alpha=0.5", 0.5);
+  CellStore store = FillStore(workers, fn->ScoreAll(workers).value());
+  ResourceBudget budget(1, 0);
+  ExecutionContext context(Deadline(), CancellationToken(), &budget);
+  AggregateAuditResult result =
+      AuditAggregate(store, BalancedOptions(), context).value();
+  EXPECT_TRUE(result.truncated);
+  EXPECT_EQ(result.exhaustion_reason, ExhaustionReason::kNodeBudget);
+  size_t covered = 0;
+  for (const AggregatePartition& p : result.partitions) covered += p.size;
+  EXPECT_EQ(covered, store.num_observations());
 }
 
 TEST(AggregateAuditTest, F6RecoverGenderWithLabels) {
@@ -373,12 +422,12 @@ TEST(AggregateAuditTest, F6RecoverGenderWithLabels) {
   auto f6 = MakeF6(11);
   std::vector<double> scores = f6->ScoreAll(workers).value();
   CellStore store = FillStore(workers, scores);
-  AggregateAuditResult aggregate = AuditAggregateBalanced(store).value();
+  AggregateAuditResult aggregate = AuditBalanced(store);
   ASSERT_EQ(aggregate.partitions.size(), 2u);
   EXPECT_NEAR(aggregate.unfairness, 0.8, 0.05);
   std::set<std::string> labels;
   for (const AggregatePartition& p : aggregate.partitions) {
-    labels.insert(AggregatePartitionLabel(store.specs(), p));
+    labels.insert(p.label);
   }
   EXPECT_TRUE(labels.count("Gender=Male"));
   EXPECT_TRUE(labels.count("Gender=Female"));
@@ -392,11 +441,13 @@ TEST(AggregateAuditTest, DivergenceOptionRespected) {
   auto f6 = MakeF6(2);
   std::vector<double> scores = f6->ScoreAll(workers).value();
   CellStore store = FillStore(workers, scores);
-  double emd = AuditAggregateBalanced(store, "emd").value().unfairness;
-  double ks = AuditAggregateBalanced(store, "ks").value().unfairness;
+  double emd = AuditAggregate(store, BalancedOptions("emd")).value().unfairness;
+  double ks = AuditAggregate(store, BalancedOptions("ks")).value().unfairness;
   EXPECT_NEAR(ks, 1.0, 1e-9);  // f6 fully separates genders.
   EXPECT_NEAR(emd, 0.8, 0.05);
-  EXPECT_FALSE(AuditAggregateBalanced(store, "bogus").ok());
+  EXPECT_FALSE(AuditAggregate(store, BalancedOptions("bogus")).ok());
+  // The balanced wrapper is the same audit.
+  EXPECT_EQ(AuditAggregateBalanced(store, "ks").value().unfairness, ks);
 }
 
 TEST(AggregateAuditTest, PartitionSizesStayExactUnderClampedScores) {
@@ -413,7 +464,7 @@ TEST(AggregateAuditTest, PartitionSizesStayExactUnderClampedScores) {
   ASSERT_TRUE(store.Add({1}, 0.9).ok());
   ASSERT_EQ(store.num_observations(), 4u);
 
-  AggregateAuditResult result = AuditAggregateBalanced(store).value();
+  AggregateAuditResult result = AuditBalanced(store);
   size_t covered = 0;
   for (const AggregatePartition& p : result.partitions) covered += p.size;
   EXPECT_EQ(covered, store.num_observations());

@@ -119,6 +119,30 @@ fi
   --bins 4294967297 2>&1 | grep -q -- "--bins must be in" \
   || fail "--bins beyond int must be rejected by name, not wrapped to 1 bin"
 
+"$FAIRAUDIT" apply --input "$WORKDIR/w.csv" --spec "$WORKDIR/part.txt" \
+  --function f6 --bins 4294967297 2>&1 | grep -q -- "--bins must be in" \
+  || fail "apply --bins beyond int must be rejected by name"
+"$FAIRAUDIT" significance --input "$WORKDIR/w.csv" --function f6 \
+  --iterations -1 2>&1 | grep -q -- "--iterations must be in" \
+  || fail "negative --iterations must be rejected, not run until killed"
+"$FAIRAUDIT" generate --workers -5 --out "$WORKDIR/neg.csv" 2>&1 \
+  | grep -q -- "--workers must be in" \
+  || fail "negative --workers must be rejected, not abort"
+
+# audit --aggregate runs the requested algorithm on the cells, fails on an
+# unknown one, and truncates under a node budget like the row audit.
+"$FAIRAUDIT" audit --input "$WORKDIR/w.csv" --function f7 --aggregate \
+  --algorithm unbalanced --json | grep -q '"algorithm":"unbalanced"' \
+  || fail "aggregate audit runs unbalanced"
+"$FAIRAUDIT" audit --input "$WORKDIR/w.csv" --function f7 --aggregate \
+  --algorithm bogus 2>&1 | grep -q "NotFound" \
+  || fail "aggregate audit rejects an unknown algorithm"
+"$FAIRAUDIT" audit --input "$WORKDIR/w.csv" --function alpha:0.5 --aggregate \
+  --max-nodes 1 --json > "$WORKDIR/aggregate_budget.json" \
+  || fail "aggregate audit under node budget must exit 0"
+grep -q '"truncated":true,"exhaustion_reason":"node-budget"' \
+  "$WORKDIR/aggregate_budget.json" || fail "aggregate node budget truncates"
+
 # a misspelled flag must fail loudly, not silently run an unbounded audit.
 if "$FAIRAUDIT" audit --input "$WORKDIR/w.csv" --function f6 \
   --max-node 100 > /dev/null 2>&1; then

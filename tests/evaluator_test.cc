@@ -96,6 +96,67 @@ TEST(EvaluatorTest, BuildHistogramCountsPartitionScores) {
   EXPECT_DOUBLE_EQ(female.counts()[4], 4.0);  // All four at 0.42.
 }
 
+/// One single-score histogram per row: the evaluator's bin configuration.
+std::vector<Histogram> RowHistograms(const std::vector<double>& scores) {
+  std::vector<Histogram> histograms;
+  for (double score : scores) {
+    Histogram h(10, 0.0, 1.0);
+    h.Add(score);
+    histograms.push_back(std::move(h));
+  }
+  return histograms;
+}
+
+TEST(EvaluatorTest, HistogramRowsMatchScoreRowsBitForBit) {
+  Table table = MakeToyTable().value();
+  std::vector<double> scores = ToyScores(table);
+  scores[0] = 1.5;  // Clamped into the top bin.
+  const EvaluatorOptions options;
+  UnfairnessEvaluator by_score =
+      UnfairnessEvaluator::Make(&table, scores, options).value();
+  std::vector<Histogram> rows = RowHistograms(scores);
+  UnfairnessEvaluator by_histogram =
+      UnfairnessEvaluator::MakeFromHistograms(&table, rows, options).value();
+  EXPECT_TRUE(by_histogram.scores().empty());
+  EXPECT_EQ(by_histogram.num_out_of_range(), by_score.num_out_of_range());
+
+  Partitioning partitioning = {MakeRootPartition(table.num_rows())};
+  for (size_t attr : table.schema().ProtectedIndices()) {
+    partitioning = SplitAll(table, partitioning, attr);
+  }
+  for (const Partition& p : partitioning) {
+    Histogram a = by_score.BuildHistogram(p);
+    Histogram b = by_histogram.BuildHistogram(p);
+    EXPECT_EQ(a.counts(), b.counts());
+    EXPECT_EQ(a.total(), b.total());
+    EXPECT_EQ(a.clamped_count(), b.clamped_count());
+  }
+  EXPECT_EQ(by_score.AveragePairwiseUnfairness(partitioning).value(),
+            by_histogram.AveragePairwiseUnfairness(partitioning).value());
+}
+
+TEST(EvaluatorTest, MakeFromHistogramsValidation) {
+  Table table = MakeToyTable().value();
+  auto make = [&table](const std::vector<Histogram>& histograms,
+                       const EvaluatorOptions& options) {
+    return UnfairnessEvaluator::MakeFromHistograms(&table, histograms, options)
+        .status();
+  };
+  std::vector<Histogram> histograms = RowHistograms(ToyScores(table));
+  std::vector<Histogram> too_few(histograms.begin(), histograms.end() - 1);
+  EXPECT_EQ(make(too_few, EvaluatorOptions()).code(),
+            StatusCode::kInvalidArgument);
+  std::vector<Histogram> wrong_shape = histograms;
+  wrong_shape[2] = Histogram(5, 0.0, 1.0);
+  EXPECT_EQ(make(wrong_shape, EvaluatorOptions()).code(),
+            StatusCode::kInvalidArgument);
+  EvaluatorOptions reject;
+  reject.out_of_range = OutOfRangePolicy::kReject;
+  EXPECT_TRUE(make(histograms, reject).ok());
+  histograms[0].Add(-3.0);
+  EXPECT_EQ(make(histograms, reject).code(), StatusCode::kInvalidArgument);
+}
+
 TEST(EvaluatorTest, SinglePartitionUnfairnessIsZero) {
   Table table = MakeToyTable().value();
   UnfairnessEvaluator eval = MakeToyEvaluator(&table);

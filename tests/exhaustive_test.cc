@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/deadline.h"
 #include "fairness/registry.h"
 #include "marketplace/generator.h"
 #include "marketplace/scoring.h"
@@ -128,7 +129,7 @@ TEST(ExhaustiveTest, NodeBudgetFallsBackToBeam) {
   EXPECT_GE(with_fallback_avg + 1e-12, without_fallback);
 }
 
-TEST(ExhaustiveTest, TimeBudgetTruncatesAsDeadline) {
+TEST(ExhaustiveTest, ContextDeadlineTruncatesAsDeadline) {
   GeneratorOptions options;
   options.num_workers = 200;
   options.seed = 13;
@@ -138,12 +139,12 @@ TEST(ExhaustiveTest, TimeBudgetTruncatesAsDeadline) {
       UnfairnessEvaluator::Make(&workers, fn->ScoreAll(workers).value(),
                                 EvaluatorOptions())
           .value();
-  ExhaustiveOptions ex;
-  ex.max_seconds = 1e-9;  // Expires after the first evaluated partitioning.
-  auto algo = MakeExhaustiveAlgorithm(ex);
-  SearchResult result = algo->Run(eval, workers.schema().ProtectedIndices(),
-                                  ExecutionContext::Unbounded())
-                            .value();
+  // Already expired: the first evaluated partitioning's checkpoint trips.
+  ExecutionContext expired(Deadline::AfterMillis(0), CancellationToken(),
+                           nullptr);
+  auto algo = MakeExhaustiveAlgorithm();
+  SearchResult result =
+      algo->Run(eval, workers.schema().ProtectedIndices(), expired).value();
   EXPECT_TRUE(result.truncated);
   EXPECT_EQ(result.reason, ExhaustionReason::kDeadline);
   EXPECT_TRUE(IsValidPartitioning(result.partitioning, workers.num_rows()));

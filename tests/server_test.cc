@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -168,11 +169,11 @@ TEST(ServerTest, AuditEndpointMatchesLibrary) {
 
 TEST(ServerTest, AggregateAuditEndpointMatchesLibrary) {
   auto running = StartServer(DefaultOptions());
-  // ingest-threads is clamped to max_request_threads (1 here); results are
-  // bit-identical across thread counts, so only the echoed thread count in
-  // the body depends on the clamp.
+  // Ingest shards follow `threads`, clamped to max_request_threads (1
+  // here); results are bit-identical across shard counts, so only the
+  // echoed thread count in the body depends on the clamp.
   HttpFetchResult response =
-      Fetch(*running, "/audit?function=f6&aggregate=1&ingest-threads=2");
+      Fetch(*running, "/audit?function=f6&aggregate=1&threads=2");
   ASSERT_EQ(response.status_code, 200) << response.body;
 
   GeneratorOptions gen;
@@ -185,7 +186,9 @@ TEST(ServerTest, AggregateAuditEndpointMatchesLibrary) {
   ASSERT_TRUE(scores.ok());
   StatusOr<CellStore> store = BuildCellStoreParallel(table, *scores);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  StatusOr<AggregateAuditResult> result = AuditAggregateBalanced(*store);
+  AuditOptions options;
+  options.algorithm = "balanced";
+  StatusOr<AggregateAuditResult> result = AuditAggregate(*store, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   AggregateReportInfo info;
   info.scoring_function = (*fn)->Name();
@@ -205,6 +208,38 @@ TEST(ServerTest, AggregateAuditEndpointMatchesLibrary) {
   HttpFetchResult row_level = Fetch(*running, "/audit?function=f6");
   ASSERT_EQ(row_level.status_code, 200) << row_level.body;
   EXPECT_NE(row_level.body, response.body);
+}
+
+TEST(ServerTest, AggregateAuditRunsTheRequestedAlgorithm) {
+  auto running = StartServer(DefaultOptions());
+  HttpFetchResult response =
+      Fetch(*running, "/audit?function=f7&aggregate=1&algorithm=unbalanced");
+  ASSERT_EQ(response.status_code, 200) << response.body;
+  EXPECT_NE(response.body.find("\"algorithm\":\"unbalanced\""),
+            std::string::npos)
+      << response.body;
+  HttpFetchResult unknown =
+      Fetch(*running, "/audit?function=f7&aggregate=1&algorithm=bogus");
+  EXPECT_EQ(unknown.status_code, 400) << unknown.body;
+}
+
+TEST(ServerTest, TruncatedAggregateAuditIsNotCached) {
+  ServerOptions options = DefaultOptions();
+  options.response_cache_mb = 8;
+  auto running = StartServer(options);
+  const std::string target =
+      "/audit?function=alpha:0.5&aggregate=1&max-nodes=1";
+  for (int i = 0; i < 2; ++i) {
+    HttpFetchResult response = Fetch(*running, target);
+    ASSERT_EQ(response.status_code, 200) << response.body;
+    EXPECT_NE(response.body.find("\"truncated\":true"), std::string::npos);
+    EXPECT_NE(response.body.find("\"exhaustion_reason\":\"node-budget\""),
+              std::string::npos);
+  }
+  HttpFetchResult stats = Fetch(*running, "/stats");
+  EXPECT_NE(stats.body.find("\"insertions\":0,"), std::string::npos)
+      << stats.body;
+  EXPECT_NE(stats.body.find("\"hits\":0,"), std::string::npos) << stats.body;
 }
 
 TEST(ServerTest, BadInputFailsStructurallyNotFatally) {
@@ -365,7 +400,18 @@ TEST(ServerTest, OverloadShedsWith429) {
     }
   });
 
-  // Poll until the slow request is in flight, then fire the contender.
+  // Poll until the slow request is in flight, then fire the contender. A
+  // contender sent earlier could take the slot first and shed the slow
+  // request instead.
+  bool slow_in_flight = false;
+  for (int attempt = 0; attempt < 1000 && !slow_in_flight; ++attempt) {
+    std::string stats = Fetch(*running, "/stats").body;
+    slow_in_flight = stats.find("\"in_flight\":1,") != std::string::npos;
+    if (!slow_in_flight) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  EXPECT_TRUE(slow_in_flight);
   bool shed_seen = false;
   for (int attempt = 0; attempt < 50 && !shed_seen; ++attempt) {
     HttpFetchResult contender =

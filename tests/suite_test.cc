@@ -150,9 +150,9 @@ TEST(AuditSuiteTest, DeadlineExpiryMidGridTruncatesLateCells) {
   EXPECT_EQ(result->summary.cells_truncated, 6u);
 }
 
-// kTotal: one hierarchical budget bounds the *aggregate* node work of the
-// grid — the whole point of the suite-level budget layer. Before it, a
-// 10-cell grid with --max-nodes=K could spend 10*K.
+// One hierarchical budget bounds the *aggregate* node work of the grid —
+// the whole point of the suite-level budget layer. Before it, a 10-cell
+// grid with --max-nodes=K could spend 10*K.
 TEST(AuditSuiteTest, HierarchicalNodeBudgetCapsAggregate) {
   Table workers = Workers(300);
   AuditSuite suite(&workers);
@@ -162,7 +162,6 @@ TEST(AuditSuiteTest, HierarchicalNodeBudgetCapsAggregate) {
   for (int threads : {1, 4}) {
     SuiteOptions options;
     options.num_threads = threads;
-    options.budget_mode = SuiteBudgetMode::kTotal;
     options.limits.max_nodes = kMaxNodes;
     auto result = suite.Run({f1.get(), f6.get()}, options);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -180,25 +179,6 @@ TEST(AuditSuiteTest, HierarchicalNodeBudgetCapsAggregate) {
     EXPECT_LE(total_nodes, kMaxNodes) << "threads=" << threads;
     EXPECT_EQ(result->summary.total_nodes, total_nodes);
     EXPECT_GT(node_truncated, 0u) << "threads=" << threads;
-  }
-}
-
-// kPerCell keeps the legacy semantics: every cell gets the full allowance.
-TEST(AuditSuiteTest, PerCellBudgetModeBoundsEachCell) {
-  Table workers = Workers(300);
-  AuditSuite suite(&workers);
-  auto f6 = MakeF6(3);
-  constexpr uint64_t kMaxNodes = 40;
-  SuiteOptions options;
-  options.budget_mode = SuiteBudgetMode::kPerCell;
-  options.limits.max_nodes = kMaxNodes;
-  auto result = suite.Run({f6.get()}, options);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  for (const auto& row : result->cells) {
-    for (const SuiteCell& cell : row) {
-      EXPECT_TRUE(cell.error.ok()) << cell.error.ToString();
-      EXPECT_LE(cell.nodes_visited, kMaxNodes);
-    }
   }
 }
 

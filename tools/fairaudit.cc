@@ -8,11 +8,11 @@
 //                      [--attributes Gender,Country] [--json] [--histograms]
 //                      [--timeout-ms 5000] [--max-nodes 100000]
 //                      [--max-memory-mb 512] [--threads 4] [--beam-width 3]
-//                      [--trace] [--aggregate] [--ingest-threads 8]
+//                      [--trace] [--aggregate]
 //   fairaudit suite    --input workers.csv
 //                      [--functions alpha:0.25,alpha:0.5,f6]
 //                      [--algorithms balanced,unbalanced] [--csv] [--json]
-//                      [--suite-threads 4] [--suite-budget total|per-cell]
+//                      [--suite-threads 4]
 //                      [+ the audit flags above]
 //   fairaudit rank     --input workers.csv --function alpha:0.5 [--top 10]
 //   fairaudit exposure --input workers.csv --function alpha:0.5
@@ -42,18 +42,23 @@
 // still exits 0 — a bounded audit is an answer, not an error.
 //
 // `suite` runs the full algorithms × functions grid (the paper's tables).
-// Cells are dispatched onto `--suite-threads` workers; with the default
-// `--suite-budget total`, `--max-nodes` / `--max-memory-mb` bound the
-// *aggregate* work of the whole grid via one hierarchical budget
-// (`per-cell` restores the old every-cell-gets-the-full-allowance
-// semantics). A failing cell renders as ERR and never aborts the grid.
+// Cells are dispatched onto `--suite-threads` workers; `--max-nodes` /
+// `--max-memory-mb` bound the *aggregate* work of the whole grid via one
+// hierarchical budget. A failing cell renders as ERR and never aborts the
+// grid.
 // `--functions` is comma-separated, so `weights:...` specs (which contain
 // commas) are not accepted there — use `audit` for those.
 //
-// `--bins` must lie in [1, 1000]; `--threads` and `--beam-width` must fit in
-// an int. The evaluator memoizes nothing: it builds each histogram where
-// its partition is made and recomputes divergences, and the report prints
-// how many of each it built and computed.
+// `audit --aggregate` first collapses the workers into per-demographic-cell
+// score histograms (sharded over `--threads`), then runs the same
+// `--algorithm` on a table whose rows are the cells. Every algorithm gives
+// the row-level answer bit for bit; the limits truncate it the same way.
+//
+// Integer flags are range-checked before narrowing: `--bins` must lie in
+// [1, 1000], `--workers` and `--iterations` must be at least 1, and the
+// rest must fit in an int. The evaluator memoizes nothing: it builds each
+// histogram where its partition is made and recomputes divergences, and the
+// report prints how many of each it built and computed.
 //
 // `audit --trace` records spans through the pipeline (search, expand,
 // evaluate, histogram, emd) and prints the span tree with
@@ -126,7 +131,7 @@ StatusOr<Table> LoadWorkers(const FlagParser& flags) {
 }
 
 int CmdGenerate(const FlagParser& flags) {
-  auto workers = flags.GetInt("workers", 500);
+  StatusOr<int> workers = GetBoundedInt(flags, "workers", 500, 1, kIntMax);
   auto seed = flags.GetInt("seed", 42);
   auto realistic = flags.GetBool("realistic", false);
   if (!workers.ok()) return Fail(workers.status());
@@ -192,21 +197,20 @@ int CmdProfile(const FlagParser& flags) {
 }
 
 /// `audit --aggregate`: collapses the table into per-cell histograms with
-/// the sharded ingest path and runs the balanced audit on the cells — the
-/// million-worker route (see DESIGN.md §12). Shares the evaluator, limit,
-/// and output flags with the row-level audit.
+/// the sharded ingest path (`--threads` shards) and runs the audit's
+/// algorithm on the cells — the million-worker route (see DESIGN.md §12).
+/// Shares the algorithm, evaluator, limit, and output flags with the
+/// row-level audit.
 int CmdAuditAggregate(const FlagParser& flags, const Table& workers,
                       const ScoringFunction& fn, const AuditOptions& options) {
   StatusOr<std::vector<double>> scores = fn.ScoreAll(workers);
   if (!scores.ok()) return Fail(scores.status());
-  StatusOr<int64_t> ingest_threads = flags.GetInt("ingest-threads", 1);
-  if (!ingest_threads.ok()) return Fail(ingest_threads.status());
 
   CellStoreIngestOptions ingest;
   ingest.num_bins = options.evaluator.num_bins;
   ingest.score_lo = options.evaluator.score_lo;
   ingest.score_hi = options.evaluator.score_hi;
-  ingest.num_threads = static_cast<int>(*ingest_threads);
+  ingest.num_threads = options.evaluator.num_threads;
   ingest.protected_attributes = options.protected_attributes;
 
   ResourceBudget budget = options.limits.MakeBudget();
@@ -226,7 +230,7 @@ int CmdAuditAggregate(const FlagParser& flags, const Table& workers,
 
   Stopwatch audit_timer;
   StatusOr<AggregateAuditResult> result =
-      AuditAggregateBalanced(*store, options.evaluator.divergence, context);
+      AuditAggregate(*store, options, context);
   if (!result.ok()) return Fail(result.status());
   info.audit_seconds = audit_timer.ElapsedSeconds();
 
@@ -241,7 +245,8 @@ int CmdAuditAggregate(const FlagParser& flags, const Table& workers,
   StatusOr<bool> histograms = flags.GetBool("histograms", false);
   if (!histograms.ok()) return Fail(histograms.status());
   report.include_histograms = *histograms;
-  StatusOr<int64_t> max_partitions = flags.GetInt("max-partitions", 20);
+  StatusOr<int> max_partitions =
+      GetBoundedInt(flags, "max-partitions", 20, 0, kIntMax);
   if (!max_partitions.ok()) return Fail(max_partitions.status());
   report.max_partitions = static_cast<size_t>(*max_partitions);
   std::printf("%s",
@@ -312,7 +317,8 @@ int CmdAudit(const FlagParser& flags) {
   StatusOr<bool> histograms = flags.GetBool("histograms", false);
   if (!histograms.ok()) return Fail(histograms.status());
   report.include_histograms = *histograms;
-  StatusOr<int64_t> max_partitions = flags.GetInt("max-partitions", 20);
+  StatusOr<int> max_partitions =
+      GetBoundedInt(flags, "max-partitions", 20, 0, kIntMax);
   if (!max_partitions.ok()) return Fail(max_partitions.status());
   report.max_partitions = static_cast<size_t>(*max_partitions);
   std::printf("%s", FormatAuditReport(*result, report).c_str());
@@ -348,21 +354,10 @@ int CmdSuite(const FlagParser& flags) {
   options.seed = audit_options->seed;
   options.protected_attributes = audit_options->protected_attributes;
   options.limits = audit_options->limits;
-  StatusOr<int64_t> suite_threads = flags.GetInt("suite-threads", 1);
+  StatusOr<int> suite_threads =
+      GetBoundedInt(flags, "suite-threads", 1, 0, kIntMax);
   if (!suite_threads.ok()) return Fail(suite_threads.status());
-  if (*suite_threads < 0) {
-    return Fail(Status::InvalidArgument("--suite-threads must be >= 0"));
-  }
-  options.num_threads = static_cast<int>(*suite_threads);
-  std::string budget_mode = flags.GetString("suite-budget", "total");
-  if (budget_mode == "total") {
-    options.budget_mode = SuiteBudgetMode::kTotal;
-  } else if (budget_mode == "per-cell") {
-    options.budget_mode = SuiteBudgetMode::kPerCell;
-  } else {
-    return Fail(
-        Status::InvalidArgument("--suite-budget must be total|per-cell"));
-  }
+  options.num_threads = *suite_threads;
   AuditSuite suite(&workers.value());
   StatusOr<SuiteResult> result = suite.Run(functions, options);
   if (!result.ok()) return Fail(result.status());
@@ -391,7 +386,7 @@ int CmdRank(const FlagParser& flags) {
   StatusOr<std::unique_ptr<ScoringFunction>> fn =
       MakeFunction(flags.GetString("function", "alpha:0.5"));
   if (!fn.ok()) return Fail(fn.status());
-  StatusOr<int64_t> top = flags.GetInt("top", 10);
+  StatusOr<int> top = GetBoundedInt(flags, "top", 10, 0, kIntMax);
   if (!top.ok()) return Fail(top.status());
 
   RankingEngine engine(&workers.value());
@@ -438,7 +433,7 @@ int CmdExposure(const FlagParser& flags) {
     options.bias = PositionBias::kReciprocal;
   } else if (bias == "topk") {
     options.bias = PositionBias::kTopK;
-    StatusOr<int64_t> top = flags.GetInt("top", 10);
+    StatusOr<int> top = GetBoundedInt(flags, "top", 10, 0, kIntMax);
     if (!top.ok()) return Fail(top.status());
     options.top_k = static_cast<size_t>(*top);
   } else {
@@ -562,9 +557,9 @@ int CmdApply(const FlagParser& flags) {
   StatusOr<std::vector<double>> scores = (*fn)->ScoreAll(*workers);
   if (!scores.ok()) return Fail(scores.status());
   EvaluatorOptions evaluator;
-  StatusOr<int64_t> bins = flags.GetInt("bins", 10);
+  StatusOr<int> bins = GetBoundedInt(flags, "bins", 10, 1, kMaxBins);
   if (!bins.ok()) return Fail(bins.status());
-  evaluator.num_bins = static_cast<int>(*bins);
+  evaluator.num_bins = *bins;
   evaluator.divergence = flags.GetString("divergence", "emd");
   StatusOr<UnfairnessEvaluator> eval =
       UnfairnessEvaluator::Make(&workers.value(), *scores, evaluator);
@@ -595,7 +590,8 @@ int CmdSignificance(const FlagParser& flags) {
   if (!fn.ok()) return Fail(fn.status());
   StatusOr<AuditOptions> options = AuditOptionsFromFlags(flags);
   if (!options.ok()) return Fail(options.status());
-  StatusOr<int64_t> iterations = flags.GetInt("iterations", 99);
+  StatusOr<int> iterations =
+      GetBoundedInt(flags, "iterations", 99, 1, kIntMax);
   if (!iterations.ok()) return Fail(iterations.status());
 
   FairnessAuditor auditor(&workers.value());
@@ -697,11 +693,11 @@ StatusOr<std::vector<std::string>> KnownFlagsForCommand(
   } else if (command == "audit") {
     add_audit_flags();
     add({"input", "function", "json", "histograms", "max-partitions",
-         "save-partitioning", "trace", "aggregate", "ingest-threads"});
+         "save-partitioning", "trace", "aggregate"});
   } else if (command == "suite") {
     add_audit_flags();
-    add({"input", "functions", "algorithms", "csv", "json", "suite-threads",
-         "suite-budget"});
+    add({"input", "functions", "algorithms", "csv", "json",
+         "suite-threads"});
   } else if (command == "rank") {
     add({"input", "function", "top"});
   } else if (command == "exposure") {

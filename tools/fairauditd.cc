@@ -48,6 +48,7 @@
 #include "common/shutdown.h"
 #include "common/str_util.h"
 #include "data/csv.h"
+#include "fairness/option_flags.h"
 #include "marketplace/generator.h"
 #include "marketplace/worker.h"
 #include "server/client.h"
@@ -84,6 +85,9 @@ std::string DatasetName(const std::string& path) {
   return base;
 }
 
+/// Largest TCP port.
+constexpr int64_t kMaxPort = 65535;
+
 StatusOr<int64_t> NonNegativeInt(const FlagParser& flags,
                                  const std::string& name, int64_t fallback) {
   FAIRRANK_ASSIGN_OR_RETURN(int64_t value, flags.GetInt(name, fallback));
@@ -94,7 +98,7 @@ StatusOr<int64_t> NonNegativeInt(const FlagParser& flags,
 }
 
 int RunFetch(const FlagParser& flags) {
-  auto port = flags.GetInt("port", 8080);
+  StatusOr<int> port = GetBoundedInt(flags, "port", 8080, 0, kMaxPort);
   if (!port.ok()) return Fail(port.status());
   auto timeout = flags.GetInt("fetch-timeout-ms", 30000);
   if (!timeout.ok()) return Fail(timeout.status());
@@ -110,7 +114,7 @@ int RunFetch(const FlagParser& flags) {
 
   if (*count == 1) {
     StatusOr<HttpFetchResult> result = HttpFetch(
-        host, static_cast<int>(*port), method, target, body, *timeout);
+        host, *port, method, target, body, *timeout);
     if (!result.ok()) return Fail(result.status());
     std::printf("status %d\n%s\n", result->status_code, result->body.c_str());
     return 0;
@@ -118,7 +122,7 @@ int RunFetch(const FlagParser& flags) {
 
   // Repeated fetches ride one kept-alive connection; the trailing
   // "connects" line exposes how many TCP connects that actually took.
-  HttpClient client(host, static_cast<int>(*port));
+  HttpClient client(host, *port);
   for (int64_t i = 0; i < *count; ++i) {
     StatusOr<HttpFetchResult> result =
         client.Fetch(method, target, body, *timeout);
@@ -168,14 +172,13 @@ StatusOr<std::map<std::string, std::unique_ptr<Table>>> LoadDatasets(
 StatusOr<ServerOptions> OptionsFromFlags(const FlagParser& flags) {
   ServerOptions options;
   options.host = flags.GetString("host", "127.0.0.1");
-  FAIRRANK_ASSIGN_OR_RETURN(int64_t port, NonNegativeInt(flags, "port", 8080));
-  options.port = static_cast<int>(port);
-  FAIRRANK_ASSIGN_OR_RETURN(int64_t threads,
-                            NonNegativeInt(flags, "threads", 4));
-  options.num_workers = static_cast<int>(threads);
-  FAIRRANK_ASSIGN_OR_RETURN(int64_t inflight,
-                            NonNegativeInt(flags, "max-inflight", 0));
-  options.max_inflight_audits = static_cast<int>(inflight);
+  FAIRRANK_ASSIGN_OR_RETURN(options.port,
+                            GetBoundedInt(flags, "port", 8080, 0, kMaxPort));
+  FAIRRANK_ASSIGN_OR_RETURN(options.num_workers,
+                            GetBoundedInt(flags, "threads", 4, 0, kIntMax));
+  FAIRRANK_ASSIGN_OR_RETURN(
+      options.max_inflight_audits,
+      GetBoundedInt(flags, "max-inflight", 0, 0, kIntMax));
   FAIRRANK_ASSIGN_OR_RETURN(int64_t queue_depth,
                             NonNegativeInt(flags, "queue-depth", 16));
   options.queue_capacity = static_cast<size_t>(queue_depth);
@@ -202,15 +205,14 @@ StatusOr<ServerOptions> OptionsFromFlags(const FlagParser& flags) {
   FAIRRANK_ASSIGN_OR_RETURN(options.keep_alive_idle_ms,
                             NonNegativeInt(flags, "keep-alive-idle-ms", 5000));
   FAIRRANK_ASSIGN_OR_RETURN(
-      int64_t max_per_conn,
-      NonNegativeInt(flags, "max-requests-per-conn", 100));
-  options.max_requests_per_connection = static_cast<int>(max_per_conn);
+      options.max_requests_per_connection,
+      GetBoundedInt(flags, "max-requests-per-conn", 100, 0, kIntMax));
   FAIRRANK_ASSIGN_OR_RETURN(int64_t cache_mb,
                             NonNegativeInt(flags, "response-cache-mb", 8));
   options.response_cache_mb = static_cast<uint64_t>(cache_mb);
-  FAIRRANK_ASSIGN_OR_RETURN(int64_t request_threads,
-                            NonNegativeInt(flags, "request-threads", 1));
-  options.max_request_threads = static_cast<int>(request_threads);
+  FAIRRANK_ASSIGN_OR_RETURN(
+      options.max_request_threads,
+      GetBoundedInt(flags, "request-threads", 1, 0, kIntMax));
   FAIRRANK_ASSIGN_OR_RETURN(options.slow_request_ms,
                             NonNegativeInt(flags, "slow-request-ms", 0));
   FAIRRANK_ASSIGN_OR_RETURN(options.access_log,
