@@ -50,22 +50,49 @@ void BM_SplitAllFullTree(benchmark::State& state) {
 }
 BENCHMARK(BM_SplitAllFullTree)->Arg(500)->Arg(7300);
 
+/// A partitioning of 7,300 workers split on attributes until it has at
+/// least `min_size` partitions; 1765 is the Table-2 answer size.
+Partitioning PartitioningOfSize(const Table& workers, int64_t min_size) {
+  Partitioning p{MakeRootPartition(workers.num_rows())};
+  for (size_t attr : workers.schema().ProtectedIndices()) {
+    if (static_cast<int64_t>(p.size()) >= min_size) break;
+    p = SplitAll(workers, p, attr);
+  }
+  return p;
+}
+
 void BM_AveragePairwiseUnfairness(benchmark::State& state) {
   Table workers = MakeWorkers(7300);
   UnfairnessEvaluator eval = MakeEval(workers);
-  // Partitioning with state.range(0) partitions (split on enough attrs).
-  std::vector<size_t> attrs = workers.schema().ProtectedIndices();
-  Partitioning p{MakeRootPartition(workers.num_rows())};
-  for (size_t attr : attrs) {
-    if (static_cast<int64_t>(p.size()) >= state.range(0)) break;
-    p = SplitAll(workers, p, attr);
-  }
+  Partitioning p = PartitioningOfSize(workers, state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(eval.AveragePairwiseUnfairness(p).value());
   }
   state.counters["partitions"] = static_cast<double>(p.size());
 }
-BENCHMARK(BM_AveragePairwiseUnfairness)->Arg(2)->Arg(6)->Arg(30)->Arg(300);
+BENCHMARK(BM_AveragePairwiseUnfairness)
+    ->Arg(2)
+    ->Arg(6)
+    ->Arg(30)
+    ->Arg(300)
+    ->Arg(1765);
+
+/// The report's worst pairs: the three most divergent of all pairs.
+void BM_TopDivergentPairs(benchmark::State& state) {
+  Table workers = MakeWorkers(7300);
+  UnfairnessEvaluator eval = MakeEval(workers);
+  Partitioning p = PartitioningOfSize(workers, state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(TopDivergentPairs(eval, p, 3).value());
+  }
+  state.counters["partitions"] = static_cast<double>(p.size());
+}
+BENCHMARK(BM_TopDivergentPairs)
+    ->Arg(2)
+    ->Arg(6)
+    ->Arg(30)
+    ->Arg(300)
+    ->Arg(1765);
 
 void BM_Algorithm(benchmark::State& state, const std::string& name) {
   Table workers = MakeWorkers(static_cast<size_t>(state.range(0)));

@@ -116,7 +116,7 @@ StatusOr<AuditResult> FairnessAuditor::AuditScores(
       UnfairnessEvaluator eval,
       UnfairnessEvaluator::Make(table_, std::move(scores),
                                 report_evaluator_options));
-  // The search evaluator's pairwise buffers are charged against the
+  // The search evaluator's unfairness buffers are charged against the
   // search's resource budget; the reporting evaluator stays unbounded like
   // its deadline.
   search_eval.AttachExecutionContext(context);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <exception>
 #include <mutex>
+#include <optional>
 
 #include "common/fault_injection.h"
 #include "common/parallel.h"
@@ -197,75 +198,218 @@ StatusOr<double> UnfairnessEvaluator::Distance(const Partition& a,
   return Distance(BuildHistogram(a), BuildHistogram(b));
 }
 
-StatusOr<std::vector<double>> UnfairnessEvaluator::PairwiseDistances(
+Status UnfairnessEvaluator::CheckPairs(
     const std::vector<Histogram>& histograms) const {
-  std::vector<double> distances;
-  const size_t k = histograms.size();
-  if (k < 2) return distances;
-  const size_t num_pairs = k * (k - 1) / 2;
-  if (context_.has_value()) {
-    // The verdict is not needed here: exhaustion latches on the budget and
-    // the search truncates at its next checkpoint.
-    (void)context_->CheckMemory(num_pairs * sizeof(double));
+  // Pair (0, j) touches every histogram, so the first failing pair in
+  // upper-triangle order is (0, j) for the least bad j, or (0, 1) when
+  // histograms[0] itself is empty.
+  const Histogram& first = histograms[0];
+  for (size_t j = 1; j < histograms.size(); ++j) {
+    const Histogram& h = histograms[j];
+    if (first.empty() || h.empty() || !first.SameShape(h)) {
+      StatusOr<double> d = divergence_->Distance(first, h);
+      if (!d.ok()) return d.status();
+    }
   }
-  // Flatten the upper triangle so pair m maps to (i, j) and distances land
-  // in a fixed slot — the final reduction order is deterministic regardless
-  // of thread count.
-  distances.assign(num_pairs, 0.0);
-  Status first_error;
-  std::mutex error_mutex;
-  // Once any pair fails, sibling chunks stop at their next iteration instead
-  // of burning through the rest of their range — the result is discarded
-  // anyway.
-  std::atomic<bool> abort{false};
+  return Status::OK();
+}
+
+void UnfairnessEvaluator::ChargeMemory(uint64_t bytes) const {
+  if (context_.has_value()) (void)context_->CheckMemory(bytes);
+}
+
+Status UnfairnessEvaluator::CheckStop() const {
+  if (options_.cancel.cancel_requested()) {
+    return Status::Cancelled("pairwise unfairness cancelled");
+  }
+  if (options_.deadline.Expired()) {
+    return Status::DeadlineExceeded(
+        "deadline expired during pairwise unfairness");
+  }
+  return Status::OK();
+}
+
+Status UnfairnessEvaluator::RunCancellable(
+    size_t n, const std::function<void(size_t, size_t)>& body) const {
   bool complete = true;
   try {
-    complete = ParallelForCancellable(
-        num_pairs, options_.num_threads, options_.cancel, options_.deadline,
-        [&](size_t begin, size_t end) {
-          // Locate (i, j) for `begin`, then walk forward.
-          size_t m = 0;
-          size_t i = 0;
-          size_t j = 1;
-          // Advance row-by-row; k is small relative to pair count.
-          while (m + (k - 1 - i) <= begin) {
-            m += k - 1 - i;
-            ++i;
-          }
-          j = i + 1 + (begin - m);
-          size_t computed = 0;
-          for (size_t p = begin; p < end; ++p) {
-            if (abort.load(std::memory_order_relaxed)) break;
-            StatusOr<double> d = ComputeDistance(histograms[i], histograms[j]);
-            ++computed;
-            if (!d.ok()) {
-              abort.store(true, std::memory_order_relaxed);
-              std::lock_guard<std::mutex> lock(error_mutex);
-              if (first_error.ok()) first_error = d.status();
-              break;
-            }
-            distances[p] = *d;
-            if (++j == k) {
-              ++i;
-              j = i + 1;
-            }
-          }
-          CountDivergences(computed);
-        });
+    complete = ParallelForCancellable(n, options_.num_threads, options_.cancel,
+                                      options_.deadline, body);
   } catch (const std::exception& e) {
     // Worker exceptions (including injected faults) are captured by
     // ParallelFor and rethrown here; keep them inside the Status API.
     return Status::Internal(std::string("pairwise unfairness worker: ") +
                             e.what());
   }
+  // A chunk stops early only once the cancellation or deadline fired.
+  return complete ? Status::OK() : CheckStop();
+}
+
+StatusOr<std::vector<double>> UnfairnessEvaluator::PairwiseDistances(
+    const std::vector<Histogram>& histograms) const {
+  const size_t k = histograms.size();
+  const size_t num_pairs = k * (k - 1) / 2;
+  ChargeMemory(num_pairs * sizeof(double));
+  // Flatten the upper triangle so pair m maps to (i, j) and distances land
+  // in a fixed slot — the final reduction order is deterministic regardless
+  // of thread count.
+  std::vector<double> distances(num_pairs, 0.0);
+  Status first_error;
+  std::mutex error_mutex;
+  // Once any pair fails, sibling chunks stop at their next iteration instead
+  // of burning through the rest of their range — the result is discarded
+  // anyway.
+  std::atomic<bool> abort{false};
+  Status run = RunCancellable(num_pairs, [&](size_t begin, size_t end) {
+    // Locate (i, j) for `begin`, then walk forward.
+    size_t m = 0;
+    size_t i = 0;
+    // Advance row-by-row; k is small relative to pair count.
+    while (m + (k - 1 - i) <= begin) {
+      m += k - 1 - i;
+      ++i;
+    }
+    size_t j = i + 1 + (begin - m);
+    size_t computed = 0;
+    for (size_t p = begin; p < end; ++p) {
+      if (abort.load(std::memory_order_relaxed)) break;
+      StatusOr<double> d = ComputeDistance(histograms[i], histograms[j]);
+      ++computed;
+      if (!d.ok()) {
+        abort.store(true, std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(error_mutex);
+        if (first_error.ok()) first_error = d.status();
+        break;
+      }
+      distances[p] = *d;
+      if (++j == k) {
+        ++i;
+        j = i + 1;
+      }
+    }
+    CountDivergences(computed);
+  });
+  // A worker exception outranks a failed pair.
+  if (!run.ok() && run.code() == StatusCode::kInternal) return run;
   FAIRRANK_RETURN_NOT_OK(first_error);
-  if (!complete) {
-    return options_.cancel.cancel_requested()
-               ? Status::Cancelled("pairwise unfairness cancelled")
-               : Status::DeadlineExceeded(
-                     "deadline expired during pairwise unfairness");
-  }
+  FAIRRANK_RETURN_NOT_OK(run);
   return distances;
+}
+
+namespace {
+
+/// Bins-major features of `histograms`: entry [b * k + i] is histogram i's
+/// probability mass in bin b (kPmf) or the running sum of those masses
+/// (kCdf). Masses are counts[b] / total, the divisions Emd1D makes.
+std::vector<double> FeatureMatrix(const std::vector<Histogram>& histograms,
+                                  PerBinL1Form::Features features) {
+  const size_t k = histograms.size();
+  const size_t bins = histograms[0].counts().size();
+  const bool cdf = features == PerBinL1Form::Features::kCdf;
+  std::vector<double> matrix(k * bins);
+  for (size_t i = 0; i < k; ++i) {
+    const std::vector<double>& counts = histograms[i].counts();
+    const double total = histograms[i].total();
+    double running = 0.0;
+    for (size_t b = 0; b < bins; ++b) {
+      const double mass = counts[b] / total;
+      running += mass;
+      matrix[b * k + i] = cdf ? running : mass;
+    }
+  }
+  return matrix;
+}
+
+/// Sum over i < j of |x_i - x_j| for the k values at `x`, which it sorts in
+/// place: with x ascending the sum is sum_r (2r - k + 1) * x_r. Terms are
+/// added with Neumaier compensation, because they cancel heavily (the
+/// coefficients sum to 0) and grow with k.
+double SumOfAbsoluteDifferences(double* x, size_t k) {
+  std::sort(x, x + k);
+  const double last = static_cast<double>(k - 1);
+  double sum = 0.0;
+  double compensation = 0.0;
+  for (size_t r = 0; r < k; ++r) {
+    const double term = (2.0 * static_cast<double>(r) - last) * x[r];
+    const double t = sum + term;
+    compensation += std::abs(sum) >= std::abs(term) ? (sum - t) + term
+                                                    : (term - t) + sum;
+    sum = t;
+  }
+  return sum + compensation;
+}
+
+/// Keeps the best `n` of the pairs offered, best first by (distance desc,
+/// index_a, index_b): the order a stable sort by descending distance gives
+/// pairs offered in (i, j) order.
+class TopPairsBuffer {
+ public:
+  /// Requires n >= 1.
+  TopPairsBuffer(size_t n, size_t num_pairs) : n_(std::min(n, num_pairs)) {
+    heap_.reserve(n_);
+  }
+
+  void Offer(size_t i, size_t j, double distance) {
+    if (heap_.size() < n_) {
+      heap_.push_back({i, j, distance});
+      std::push_heap(heap_.begin(), heap_.end(), Better);
+      return;
+    }
+    // Pairs arrive in (i, j) order, so an equal distance never displaces
+    // a kept pair.
+    if (!(distance > heap_.front().distance)) return;
+    std::pop_heap(heap_.begin(), heap_.end(), Better);
+    heap_.back() = {i, j, distance};
+    std::push_heap(heap_.begin(), heap_.end(), Better);
+  }
+
+  /// The kept pairs, best first.
+  std::vector<DivergentPair> Take() && {
+    std::sort_heap(heap_.begin(), heap_.end(), Better);
+    return std::move(heap_);
+  }
+
+ private:
+  static bool Better(const DivergentPair& a, const DivergentPair& b) {
+    if (a.distance != b.distance) return a.distance > b.distance;
+    if (a.index_a != b.index_a) return a.index_a < b.index_a;
+    return a.index_b < b.index_b;
+  }
+
+  size_t n_;
+  /// Heap under Better: front() is the worst pair kept.
+  std::vector<DivergentPair> heap_;
+};
+
+}  // namespace
+
+StatusOr<double> UnfairnessEvaluator::SortedAverage(
+    const std::vector<Histogram>& histograms, const PerBinL1Form& form) const {
+  FAIRRANK_RETURN_NOT_OK(CheckPairs(histograms));
+  if (fault::OnDivergenceEval()) {
+    return Status::Internal("fault injection: divergence evaluation failed");
+  }
+  const uint64_t start_ns = options_.trace != nullptr ? TraceNowNanos() : 0;
+  const size_t k = histograms.size();
+  const size_t bins = histograms[0].counts().size();
+  ChargeMemory(k * bins * sizeof(double));
+  std::vector<double> features = FeatureMatrix(histograms, form.features);
+  std::vector<double> per_bin(bins, 0.0);
+  FAIRRANK_RETURN_NOT_OK(RunCancellable(bins, [&](size_t begin, size_t end) {
+    for (size_t b = begin; b < end; ++b) {
+      per_bin[b] = SumOfAbsoluteDifferences(&features[b * k], k);
+    }
+  }));
+  // Bin order, whatever the thread count.
+  double sum = 0.0;
+  for (double s : per_bin) sum += s;
+  const size_t num_pairs = k * (k - 1) / 2;
+  CountDivergences(num_pairs);
+  if (options_.trace != nullptr) {
+    options_.trace->AddEvent("emd", options_.trace_parent,
+                             TraceNowNanos() - start_ns);
+  }
+  return form.scale * sum / static_cast<double>(num_pairs);
 }
 
 StatusOr<double> UnfairnessEvaluator::AveragePairwiseUnfairness(
@@ -277,6 +421,9 @@ StatusOr<double> UnfairnessEvaluator::AveragePairwiseUnfairness(
 StatusOr<double> UnfairnessEvaluator::AveragePairwise(
     const std::vector<Histogram>& histograms) const {
   if (histograms.size() < 2) return 0.0;
+  if (std::optional<PerBinL1Form> form = divergence_->L1Form(histograms[0])) {
+    return SortedAverage(histograms, *form);
+  }
   FAIRRANK_ASSIGN_OR_RETURN(std::vector<double> distances,
                             PairwiseDistances(histograms));
   double sum = 0.0;
@@ -284,28 +431,77 @@ StatusOr<double> UnfairnessEvaluator::AveragePairwise(
   return sum / static_cast<double>(distances.size());
 }
 
+StatusOr<std::vector<DivergentPair>> UnfairnessEvaluator::TopPairs(
+    const std::vector<Histogram>& histograms, size_t n) const {
+  const size_t k = histograms.size();
+  if (k < 2 || n == 0) return std::vector<DivergentPair>();
+  const size_t num_pairs = k * (k - 1) / 2;
+  TopPairsBuffer top(n, num_pairs);
+  std::optional<PerBinL1Form> form = divergence_->L1Form(histograms[0]);
+  if (!form.has_value()) {
+    for (size_t i = 0; i + 1 < k; ++i) {
+      FAIRRANK_RETURN_NOT_OK(CheckStop());
+      for (size_t j = i + 1; j < k; ++j) {
+        FAIRRANK_ASSIGN_OR_RETURN(double d,
+                                  Distance(histograms[i], histograms[j]));
+        top.Offer(i, j, d);
+      }
+    }
+    return std::move(top).Take();
+  }
+
+  FAIRRANK_RETURN_NOT_OK(CheckPairs(histograms));
+  if (fault::OnDivergenceEval()) {
+    return Status::Internal("fault injection: divergence evaluation failed");
+  }
+  const uint64_t start_ns = options_.trace != nullptr ? TraceNowNanos() : 0;
+  const size_t bins = histograms[0].counts().size();
+  ChargeMemory(k * bins * sizeof(double));
+  const std::vector<double> pmf =
+      FeatureMatrix(histograms, PerBinL1Form::Features::kPmf);
+  const bool cdf = form->features == PerBinL1Form::Features::kCdf;
+  // Pairs (i, j0..j0+len) side by side: the inner loops run over j, so
+  // they vectorize, while each pair still takes Emd1D's (or tv's)
+  // operations in Emd1D's order — the same double as Distance.
+  constexpr size_t kBlock = 64;
+  double diff[kBlock];
+  double sum[kBlock];
+  for (size_t i = 0; i + 1 < k; ++i) {
+    FAIRRANK_RETURN_NOT_OK(CheckStop());
+    for (size_t j0 = i + 1; j0 < k; j0 += kBlock) {
+      const size_t len = std::min(kBlock, k - j0);
+      std::fill(diff, diff + len, 0.0);
+      std::fill(sum, sum + len, 0.0);
+      for (size_t b = 0; b < bins; ++b) {
+        const double x = pmf[b * k + i];
+        const double* y = &pmf[b * k + j0];
+        if (cdf) {
+          for (size_t jj = 0; jj < len; ++jj) {
+            diff[jj] += x - y[jj];
+            sum[jj] += std::abs(diff[jj]);
+          }
+        } else {
+          for (size_t jj = 0; jj < len; ++jj) sum[jj] += std::abs(x - y[jj]);
+        }
+      }
+      for (size_t jj = 0; jj < len; ++jj) {
+        top.Offer(i, j0 + jj, sum[jj] * form->scale);
+      }
+    }
+  }
+  CountDivergences(num_pairs);
+  if (options_.trace != nullptr) {
+    options_.trace->AddEvent("emd", options_.trace_parent,
+                             TraceNowNanos() - start_ns);
+  }
+  return std::move(top).Take();
+}
+
 StatusOr<std::vector<DivergentPair>> TopDivergentPairs(
     const UnfairnessEvaluator& eval, const Partitioning& partitioning,
     size_t k) {
-  std::vector<DivergentPair> pairs;
-  if (partitioning.size() < 2 || k == 0) return pairs;
-  // Same flattened upper triangle as AveragePairwiseUnfairness.
-  FAIRRANK_ASSIGN_OR_RETURN(
-      std::vector<double> distances,
-      eval.PairwiseDistances(eval.BuildHistograms(partitioning)));
-  pairs.reserve(distances.size());
-  size_t m = 0;
-  for (size_t i = 0; i < partitioning.size(); ++i) {
-    for (size_t j = i + 1; j < partitioning.size(); ++j) {
-      pairs.push_back({i, j, distances[m++]});
-    }
-  }
-  std::stable_sort(pairs.begin(), pairs.end(),
-                   [](const DivergentPair& a, const DivergentPair& b) {
-                     return a.distance > b.distance;
-                   });
-  if (pairs.size() > k) pairs.resize(k);
-  return pairs;
+  if (partitioning.size() < 2 || k == 0) return std::vector<DivergentPair>();
+  return eval.TopPairs(eval.BuildHistograms(partitioning), k);
 }
 
 StatusOr<double> UnfairnessEvaluator::AverageWithSiblings(

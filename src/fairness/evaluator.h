@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -21,13 +22,15 @@ namespace fairrank {
 /// Work counters of one evaluator: histograms built and divergences
 /// computed. The evaluator memoizes nothing, so every request is a build or
 /// a computation; the hit and byte fields are always 0 and remain only so
-/// callers that still read them compile. Totals are exact at any
-/// num_threads: every pair of a pairwise loop is computed exactly once.
+/// callers that still read them compile. Divergences count pair terms
+/// covered: an average or top-pairs call over k histograms adds k(k-1)/2
+/// whether it enumerates the pairs or sums sorted per-bin features, so
+/// totals are exact at any num_threads.
 struct EvalCacheStats {
   uint64_t histogram_hits = 0;     ///< Always 0.
   uint64_t histogram_misses = 0;   ///< Histograms built.
   uint64_t divergence_hits = 0;    ///< Always 0.
-  uint64_t divergence_misses = 0;  ///< Divergences computed.
+  uint64_t divergence_misses = 0;  ///< Pair terms covered.
   uint64_t bytes_used = 0;         ///< Always 0.
 
   uint64_t histogram_lookups() const {
@@ -86,14 +89,14 @@ struct EvaluatorOptions {
   /// Divergence name resolved via MakeDivergenceByName; "emd" reproduces
   /// the paper.
   std::string divergence = "emd";
-  /// Worker threads for the pairwise-distance loops of
-  /// AveragePairwiseUnfairness. 1 = fully serial (default); results are
-  /// bit-identical across thread counts (per-pair sums are accumulated in
-  /// a deterministic order).
+  /// Worker threads of AveragePairwiseUnfairness: over bins for a
+  /// divergence with a per-bin L1 form (emd, tv), over pairs otherwise.
+  /// 1 = fully serial (default); results are bit-identical across thread
+  /// counts (partial sums are reduced in a fixed order).
   int num_threads = 1;
-  /// Deadline / cancellation honored inside AveragePairwiseUnfairness: the
-  /// pairwise loop stops between blocks once either fires and the call
-  /// returns DeadlineExceeded / Cancelled instead of finishing the range.
+  /// Deadline / cancellation honored inside AveragePairwiseUnfairness and
+  /// TopDivergentPairs: the loops stop between blocks once either fires and
+  /// the call returns DeadlineExceeded / Cancelled instead of finishing.
   /// Both are inert by default. Keep them inert on evaluators used for
   /// *reporting* — only the search evaluator should be interruptible.
   Deadline deadline;
@@ -104,12 +107,21 @@ struct EvaluatorOptions {
   /// Policy for scores outside [score_lo, score_hi]; see OutOfRangePolicy.
   OutOfRangePolicy out_of_range = OutOfRangePolicy::kCount;
   /// Borrowed per-request trace (see common/trace.h). When set, every
-  /// histogram build and divergence computation records a span
-  /// ("histogram" / "emd") under `trace_parent`. Null =
+  /// histogram build records a "histogram" span under `trace_parent`, and
+  /// every divergence computation an "emd" span — one per call, not per
+  /// pair, where a per-bin L1 form covers all pairs at once. Null =
   /// tracing off; recording is thread-safe (the pairwise pool records
   /// concurrently). The auditor wires this from its ExecutionLimits.
   TraceContext* trace = nullptr;
   int64_t trace_parent = -1;
+};
+
+/// One highly divergent partition pair — the "who exactly is treated
+/// differently from whom" answer an auditor reads off first.
+struct DivergentPair {
+  size_t index_a = 0;  ///< Index into the partitioning.
+  size_t index_b = 0;
+  double distance = 0.0;
 };
 
 /// Computes unfairness(P, f) (Definition 2): the average pairwise divergence
@@ -164,8 +176,26 @@ class UnfairnessEvaluator {
 
   /// The same average over already-built histograms; bit-identical to
   /// AveragePairwiseUnfairness of the partitions they were built from.
+  ///
+  /// For a divergence with a per-bin L1 form (emd, tv) the k(k-1)/2 pairs
+  /// are never enumerated: each bin's k features are sorted and their Gini
+  /// mean difference summed with compensation, in O(B * k log k), in
+  /// parallel over bins. The result matches the pairwise mean to within
+  /// rounding (see DESIGN.md). Other divergences average all pairs. Either
+  /// way the work counter grows by the k(k-1)/2 pairs covered, an attached
+  /// context is charged for the buffer (k * B or k(k-1)/2 doubles), and a
+  /// bad pair fails with the Status Distance gives it.
   StatusOr<double> AveragePairwise(
       const std::vector<Histogram>& histograms) const;
+
+  /// The `n` most divergent pairs of `histograms`, ordered by distance
+  /// descending, ties by (index_a, index_b) ascending; `n` beyond the pair
+  /// count is clamped. Streams over all pairs keeping only the best `n`.
+  /// Every distance is bit-identical to Distance(histograms[index_a],
+  /// histograms[index_b]); for a per-bin L1 form the pairs are computed in
+  /// vectorizable blocks from one normalized matrix.
+  StatusOr<std::vector<DivergentPair>> TopPairs(
+      const std::vector<Histogram>& histograms, size_t n) const;
 
   /// Algorithm 2's averageEMD(current, siblings, f): mean divergence between
   /// `current` and each sibling; 0 when `siblings` is empty.
@@ -179,19 +209,11 @@ class UnfairnessEvaluator {
       const std::vector<Histogram>& children,
       const std::vector<Histogram>& siblings) const;
 
-  /// All pairwise divergences of `histograms`, flattened in upper-triangle
-  /// order: pair (i, j), i < j, lands at the slot both AveragePairwise and
-  /// TopDivergentPairs read. Honors the deadline/cancel options; fewer than
-  /// two histograms yields an empty vector. With an attached context, the
-  /// buffer (k(k-1)/2 doubles) is charged to its budget first.
-  StatusOr<std::vector<double>> PairwiseDistances(
-      const std::vector<Histogram>& histograms) const;
-
-  /// Attaches the search's ExecutionContext: every pairwise-distance buffer
-  /// is charged to its ResourceBudget. A charge that exhausts the budget
-  /// does not fail the call; the exhaustion latches and the search
-  /// truncates at its next checkpoint. Call before the search starts;
-  /// auditors do this for the search evaluator only.
+  /// Attaches the search's ExecutionContext: every buffer AveragePairwise
+  /// and TopPairs allocate is charged to its ResourceBudget. A charge that
+  /// exhausts the budget does not fail the call; the exhaustion latches and
+  /// the search truncates at its next checkpoint. Call before the search
+  /// starts; auditors do this for the search evaluator only.
   void AttachExecutionContext(const ExecutionContext& context) {
     context_ = context;
   }
@@ -234,6 +256,36 @@ class UnfairnessEvaluator {
                                    const Histogram& b) const;
   void CountDivergences(uint64_t n) const;
 
+  /// Ok when every pair of `histograms` (at least two) is comparable;
+  /// otherwise the Status Distance gives the first bad pair in
+  /// upper-triangle order.
+  Status CheckPairs(const std::vector<Histogram>& histograms) const;
+
+  /// Charges `bytes` to the attached context, if any. The verdict is not
+  /// needed: exhaustion latches on the budget and the search truncates at
+  /// its next checkpoint.
+  void ChargeMemory(uint64_t bytes) const;
+
+  /// Cancelled / DeadlineExceeded once the options' cancellation or
+  /// deadline fires, Ok before.
+  Status CheckStop() const;
+
+  /// Runs `body` over [0, n) under the options' threads, deadline and
+  /// cancellation. A worker exception becomes Internal; an early stop
+  /// becomes Cancelled / DeadlineExceeded.
+  Status RunCancellable(size_t n,
+                        const std::function<void(size_t, size_t)>& body) const;
+
+  /// AveragePairwise through the per-bin L1 form.
+  StatusOr<double> SortedAverage(const std::vector<Histogram>& histograms,
+                                 const PerBinL1Form& form) const;
+
+  /// All pairwise divergences of `histograms`, flattened in upper-triangle
+  /// order, in parallel over pairs. AveragePairwise's path for divergences
+  /// without a per-bin L1 form.
+  StatusOr<std::vector<double>> PairwiseDistances(
+      const std::vector<Histogram>& histograms) const;
+
   const Table* table_;
   std::vector<double> scores_;
   /// Set instead of scores_ by MakeFromHistograms.
@@ -242,22 +294,15 @@ class UnfairnessEvaluator {
   std::unique_ptr<Divergence> divergence_;
   size_t num_out_of_range_ = 0;
   std::unique_ptr<WorkCounters> work_;
-  /// Set by AttachExecutionContext; charges the pairwise buffers.
+  /// Set by AttachExecutionContext; charges the buffers of AveragePairwise
+  /// and TopPairs.
   std::optional<ExecutionContext> context_;
 };
 
-/// One highly divergent partition pair — the "who exactly is treated
-/// differently from whom" answer an auditor reads off first.
-struct DivergentPair {
-  size_t index_a = 0;  ///< Index into the partitioning.
-  size_t index_b = 0;
-  double distance = 0.0;
-};
-
 /// The k partition pairs with the largest pairwise divergence, sorted
-/// descending (ties broken by pair order, deterministic). k larger than the
-/// number of pairs is clamped; a partitioning with < 2 partitions yields an
-/// empty list.
+/// descending (ties broken by pair order, deterministic): TopPairs over the
+/// partitions' histograms. k larger than the number of pairs is clamped; a
+/// partitioning with < 2 partitions yields an empty list.
 StatusOr<std::vector<DivergentPair>> TopDivergentPairs(
     const UnfairnessEvaluator& eval, const Partitioning& partitioning,
     size_t k);

@@ -17,6 +17,13 @@ Status CheckInputs(const UnfairnessEvaluator& eval,
   if (!IsValidPartitioning(partitioning, eval.table().num_rows())) {
     return Status::InvalidArgument("invalid partitioning for this table");
   }
+  // Resampling and permuting move individual scores between rows; an
+  // evaluator built from per-row histograms (a cell table) has none.
+  if (eval.scores().size() != eval.table().num_rows()) {
+    return Status::FailedPrecondition(
+        "significance needs one score per row; this evaluator was built "
+        "from histograms");
+  }
   return Status::OK();
 }
 

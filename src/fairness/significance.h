@@ -27,7 +27,9 @@ struct BootstrapResult {
 /// Resamples each partition's members with replacement `iterations` times
 /// and recomputes the average pairwise divergence, yielding a confidence
 /// interval for the unfairness estimate of `partitioning`. Deterministic
-/// given `seed`. `partitioning` must be valid for the evaluator's table.
+/// given `seed`. `partitioning` must be valid for the evaluator's table,
+/// and the evaluator must hold one score per row: one built by
+/// MakeFromHistograms fails with FailedPrecondition.
 StatusOr<BootstrapResult> BootstrapUnfairness(const UnfairnessEvaluator& eval,
                                               const Partitioning& partitioning,
                                               size_t iterations,
@@ -47,7 +49,8 @@ struct PermutationResult {
 /// Shuffles the score vector across workers `iterations` times (breaking
 /// any association between scores and protected attributes, keeping the
 /// score distribution intact) and recomputes unfairness on the same
-/// partitioning. Deterministic given `seed`.
+/// partitioning. Deterministic given `seed`. Fails with FailedPrecondition
+/// on an evaluator built by MakeFromHistograms (it has no scores).
 StatusOr<PermutationResult> PermutationTestUnfairness(
     const UnfairnessEvaluator& eval, const Partitioning& partitioning,
     size_t iterations, uint64_t seed);

@@ -27,6 +27,9 @@ class EmdDivergence : public Divergence {
                             const Histogram& b) const override {
     return Emd1D(a, b);
   }
+  std::optional<PerBinL1Form> L1Form(const Histogram& shape) const override {
+    return PerBinL1Form{PerBinL1Form::Features::kCdf, shape.bin_width()};
+  }
 };
 
 class GeneralEmdDivergence : public Divergence {
@@ -111,6 +114,9 @@ class TotalVariationDivergence : public Divergence {
     double l1 = 0.0;
     for (size_t i = 0; i < pa.size(); ++i) l1 += std::abs(pa[i] - pb[i]);
     return 0.5 * l1;
+  }
+  std::optional<PerBinL1Form> L1Form(const Histogram&) const override {
+    return PerBinL1Form{PerBinL1Form::Features::kPmf, 0.5};
   }
 };
 

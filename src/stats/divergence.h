@@ -2,6 +2,7 @@
 #define FAIRRANK_STATS_DIVERGENCE_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -9,6 +10,27 @@
 #include "stats/histogram.h"
 
 namespace fairrank {
+
+/// The exact per-bin L1 form a divergence may have:
+///
+///   Distance(a, b) = scale * sum_b |x_a(b) - x_b(b)|
+///
+/// where x is a histogram's probability mass per bin, counts / total
+/// (kPmf), or the running sum of those masses, its CDF (kCdf). The sum over
+/// all pairs of a set then splits into one Gini mean difference per bin,
+/// which the unfairness evaluator computes exactly from sorted values in
+/// O(B * k log k) instead of k(k-1)/2 distances.
+///
+/// The evaluator's top-pairs report also evaluates single pairs from the
+/// form and promises the same double as Distance, so Distance must take
+/// these operations in this order: per bin, with p = counts / total,
+/// `d += p_a - p_b; s += |d|` (kCdf) or `s += |p_a - p_b|` (kPmf), then
+/// `s * scale`.
+struct PerBinL1Form {
+  enum class Features { kPmf, kCdf };
+  Features features = Features::kPmf;
+  double scale = 1.0;
+};
 
 /// Pluggable dissimilarity between two score histograms. The paper uses EMD
 /// and names "other formulations and metrics for fairness" as future work;
@@ -27,6 +49,14 @@ class Divergence {
   /// Distance between two same-shape, non-empty histograms.
   virtual StatusOr<double> Distance(const Histogram& a,
                                     const Histogram& b) const = 0;
+
+  /// The per-bin L1 form of Distance on histograms shaped like `shape`, if
+  /// it has one; nullopt by default. Only a divergence whose Distance is
+  /// exactly that form may declare it (emd and tv do).
+  virtual std::optional<PerBinL1Form> L1Form(
+      const Histogram& /*shape*/) const {
+    return std::nullopt;
+  }
 };
 
 /// Closed-form 1-D Earth Mover's Distance (the paper's measure).

@@ -245,10 +245,13 @@ TEST(AuditorTest, TightMemoryBudgetDegradesGracefully) {
   FairnessAuditor auditor(&workers);
   AuditOptions options;
   options.algorithm = "balanced";
-  options.limits.max_memory_mb = 1;  // Far below the search's buffers.
+  // The search charges k * num_bins doubles per average; at 1,000 bins that
+  // is far beyond 1 MB.
+  options.evaluator.num_bins = 1000;
+  options.limits.max_memory_mb = 1;
   StatusOr<AuditResult> result =
       auditor.Audit(*MakeAlphaFunction("f1", 0.5), options);
-  // A tight budget is an answer, not an error: the pairwise buffers charged
+  // A tight budget is an answer, not an error: the feature buffers charged
   // to it latch the exhaustion, and the search stops at its next checkpoint
   // with a valid partitioning and exact metrics for it.
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -257,7 +260,7 @@ TEST(AuditorTest, TightMemoryBudgetDegradesGracefully) {
   EXPECT_STREQ(ExhaustionReasonToString(result->exhaustion_reason),
                "memory-budget");
   EXPECT_TRUE(IsValidPartitioning(result->partitioning, workers.num_rows()));
-  EXPECT_EQ(result->unfairness, FreshEvaluator(workers)
+  EXPECT_EQ(result->unfairness, FreshEvaluator(workers, options.evaluator)
                                     .AveragePairwiseUnfairness(
                                         result->partitioning)
                                     .value());

@@ -1,7 +1,12 @@
 #include "fairness/evaluator.h"
 
+#include <algorithm>
+#include <cfloat>
+#include <cstring>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "fairness/splitter.h"
 #include "marketplace/worker.h"
 
@@ -321,6 +326,232 @@ TEST(TopDivergentPairsTest, DegenerateInputs) {
       SplitPartition(table, MakeRootPartition(table.num_rows()), gender);
   Partitioning p(children.begin(), children.end());
   EXPECT_TRUE(TopDivergentPairs(eval, p, 0)->empty());
+}
+
+/// `k` random histograms of `bins` bins over [0, 1]: 1 to 60 Gaussian
+/// samples around a per-histogram center, some of them clamped in from
+/// outside the range; every third histogram copies an earlier one (ties).
+std::vector<Histogram> RandomHistograms(size_t k, int bins, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Histogram> out;
+  for (size_t i = 0; i < k; ++i) {
+    if (i >= 3 && i % 3 == 0) {
+      out.push_back(out[rng.UniformIndex(i)]);
+      continue;
+    }
+    Histogram h(bins, 0.0, 1.0);
+    const double center = rng.NextDouble();
+    const int64_t n = rng.UniformInt(1, 60);
+    for (int64_t s = 0; s < n; ++s) {
+      h.Add(std::clamp(rng.Gaussian(center, 0.25), -0.2, 1.2));
+    }
+    out.push_back(std::move(h));
+  }
+  return out;
+}
+
+UnfairnessEvaluator MakeToyEvaluatorFor(const Table* table,
+                                        const std::string& divergence,
+                                        int num_threads = 1) {
+  EvaluatorOptions options;
+  options.divergence = divergence;
+  options.num_threads = num_threads;
+  return MakeToyEvaluator(table, options);
+}
+
+/// The all-pairs oracle: every Distance in upper-triangle order, summed
+/// left to right.
+double PairwiseMean(const UnfairnessEvaluator& eval,
+                    const std::vector<Histogram>& h) {
+  double sum = 0.0;
+  size_t pairs = 0;
+  for (size_t i = 0; i < h.size(); ++i) {
+    for (size_t j = i + 1; j < h.size(); ++j) {
+      sum += eval.Distance(h[i], h[j]).value();
+      ++pairs;
+    }
+  }
+  return sum / static_cast<double>(pairs);
+}
+
+/// The documented agreement of the sorted form with PairwiseMean over k
+/// histograms of B bins (DESIGN.md): 16 (k + B) ulps of 1. The pairwise
+/// mean's own rounding grows with the k(k-1)/2 terms it adds.
+double SortedTolerance(size_t k, int bins) {
+  return 16.0 * static_cast<double>(k + static_cast<size_t>(bins)) *
+         DBL_EPSILON;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(SortedAverageTest, MatchesPairwiseOracle) {
+  Table table = MakeToyTable().value();
+  for (const char* divergence : {"emd", "tv"}) {
+    UnfairnessEvaluator eval = MakeToyEvaluatorFor(&table, divergence);
+    for (size_t k : {2u, 3u, 50u, 1770u}) {
+      std::vector<Histogram> h = RandomHistograms(k, 10, 100 + k);
+      const double sorted = eval.AveragePairwise(h).value();
+      EXPECT_NEAR(sorted, PairwiseMean(eval, h), SortedTolerance(k, 10))
+          << divergence << " k=" << k;
+      EXPECT_GT(sorted, 0.0);
+    }
+  }
+}
+
+TEST(SortedAverageTest, MatchesGeneralEmdOnSmallSets) {
+  Table table = MakeToyTable().value();
+  UnfairnessEvaluator emd = MakeToyEvaluatorFor(&table, "emd");
+  UnfairnessEvaluator general = MakeToyEvaluatorFor(&table, "emd-general");
+  for (size_t k : {2u, 3u, 7u}) {
+    std::vector<Histogram> h = RandomHistograms(k, 10, 7 + k);
+    EXPECT_NEAR(emd.AveragePairwise(h).value(),
+                general.AveragePairwise(h).value(), 1e-12)
+        << "k=" << k;
+  }
+}
+
+TEST(SortedAverageTest, TiesOneBinAndIdenticalSets) {
+  Table table = MakeToyTable().value();
+  for (const char* divergence : {"emd", "tv"}) {
+    UnfairnessEvaluator eval = MakeToyEvaluatorFor(&table, divergence);
+    // One bin: every histogram is the same point mass.
+    std::vector<Histogram> one_bin;
+    for (double v : {0.1, 0.9, 2.0, -1.0}) {
+      Histogram h(1, 0.0, 1.0);
+      h.Add(v);
+      one_bin.push_back(std::move(h));
+    }
+    EXPECT_EQ(eval.AveragePairwise(one_bin).value(), 0.0) << divergence;
+    // All copies of one histogram.
+    std::vector<Histogram> same(40, RandomHistograms(1, 10, 3)[0]);
+    EXPECT_NEAR(eval.AveragePairwise(same).value(), 0.0, 1e-15)
+        << divergence;
+    // Two groups of copies: a heavily tied sort.
+    std::vector<Histogram> groups(30, RandomHistograms(1, 10, 4)[0]);
+    groups.resize(60, RandomHistograms(1, 10, 5)[0]);
+    EXPECT_NEAR(eval.AveragePairwise(groups).value(),
+                PairwiseMean(eval, groups), SortedTolerance(60, 10))
+        << divergence;
+  }
+}
+
+TEST(SortedAverageTest, BitIdenticalAcrossThreadCounts) {
+  Table table = MakeToyTable().value();
+  for (const char* divergence : {"emd", "tv"}) {
+    UnfairnessEvaluator serial = MakeToyEvaluatorFor(&table, divergence, 1);
+    UnfairnessEvaluator parallel = MakeToyEvaluatorFor(&table, divergence, 4);
+    // 10 bins run inline; 300 bins split across the four workers.
+    for (int bins : {10, 300}) {
+      std::vector<Histogram> h = RandomHistograms(500, bins, 21);
+      const double a = serial.AveragePairwise(h).value();
+      const double b = parallel.AveragePairwise(h).value();
+      EXPECT_TRUE(SameBits(a, b)) << divergence << " bins=" << bins;
+    }
+  }
+}
+
+TEST(SortedAverageTest, CountsPairTermsCovered) {
+  Table table = MakeToyTable().value();
+  UnfairnessEvaluator eval = MakeToyEvaluatorFor(&table, "emd");
+  ASSERT_TRUE(eval.AveragePairwise(RandomHistograms(50, 10, 1)).ok());
+  EXPECT_EQ(eval.cache_stats().divergence_misses, 50u * 49u / 2u);
+  ASSERT_TRUE(eval.TopPairs(RandomHistograms(50, 10, 1), 3).ok());
+  EXPECT_EQ(eval.cache_stats().divergence_misses, 50u * 49u);
+}
+
+TEST(SortedAverageTest, BadPairsFailLikeDistance) {
+  Table table = MakeToyTable().value();
+  for (const char* divergence : {"emd", "tv", "js"}) {
+    UnfairnessEvaluator eval = MakeToyEvaluatorFor(&table, divergence);
+    std::vector<Histogram> good = RandomHistograms(6, 10, 9);
+    const Histogram empty(10, 0.0, 1.0);
+    const Histogram narrow = RandomHistograms(1, 5, 9)[0];
+    // (position, replacement): an empty or differently shaped histogram
+    // first, in the middle, or last.
+    const std::vector<std::pair<size_t, Histogram>> cases = {
+        {0, empty}, {3, empty}, {5, empty}, {0, narrow}, {4, narrow}};
+    for (const auto& [position, bad] : cases) {
+      std::vector<Histogram> h = good;
+      h[position] = bad;
+      // The first failing pair in upper-triangle order.
+      Status expected;
+      for (size_t i = 0; i < h.size() && expected.ok(); ++i) {
+        for (size_t j = i + 1; j < h.size() && expected.ok(); ++j) {
+          expected = eval.Distance(h[i], h[j]).status();
+        }
+      }
+      ASSERT_FALSE(expected.ok());
+      Status average = eval.AveragePairwise(h).status();
+      EXPECT_EQ(average.code(), expected.code())
+          << divergence << " at " << position;
+      EXPECT_EQ(average.message(), expected.message());
+      EXPECT_EQ(eval.TopPairs(h, 3).status().code(), expected.code())
+          << divergence << " at " << position;
+    }
+  }
+}
+
+/// TopPairs' reference: every pair's Distance in (i, j) order, stable-sorted
+/// by descending distance, cut to n.
+std::vector<DivergentPair> ReferenceTopPairs(const UnfairnessEvaluator& eval,
+                                             const std::vector<Histogram>& h,
+                                             size_t n) {
+  std::vector<DivergentPair> all;
+  for (size_t i = 0; i < h.size(); ++i) {
+    for (size_t j = i + 1; j < h.size(); ++j) {
+      all.push_back({i, j, eval.Distance(h[i], h[j]).value()});
+    }
+  }
+  std::stable_sort(all.begin(), all.end(),
+                   [](const DivergentPair& a, const DivergentPair& b) {
+                     return a.distance > b.distance;
+                   });
+  if (all.size() > n) all.resize(n);
+  return all;
+}
+
+TEST(TopDivergentPairsTest, MatchesStableSortOfAllPairsBitForBit) {
+  Table table = MakeToyTable().value();
+  // 150 histograms span several 64-pair blocks per row; every third is a
+  // copy, so distances tie.
+  std::vector<Histogram> h = RandomHistograms(150, 10, 77);
+  const size_t num_pairs = 150 * 149 / 2;
+  for (const char* divergence : {"emd", "tv", "js"}) {
+    UnfairnessEvaluator eval = MakeToyEvaluatorFor(&table, divergence);
+    for (size_t n : {size_t{0}, size_t{1}, size_t{3}, num_pairs + 10}) {
+      std::vector<DivergentPair> top = eval.TopPairs(h, n).value();
+      std::vector<DivergentPair> want = ReferenceTopPairs(eval, h, n);
+      ASSERT_EQ(top.size(), want.size()) << divergence << " n=" << n;
+      for (size_t r = 0; r < top.size(); ++r) {
+        EXPECT_EQ(top[r].index_a, want[r].index_a) << divergence << " " << r;
+        EXPECT_EQ(top[r].index_b, want[r].index_b) << divergence << " " << r;
+        EXPECT_TRUE(SameBits(top[r].distance, want[r].distance))
+            << divergence << " " << r;
+      }
+    }
+  }
+}
+
+TEST(TopDivergentPairsTest, DistancesEqualDistanceBitForBit) {
+  Table table = MakeToyTable().value();
+  for (const char* divergence : {"emd", "tv"}) {
+    UnfairnessEvaluator eval = MakeToyEvaluatorFor(&table, divergence);
+    for (int bins : {1, 10, 37}) {
+      std::vector<Histogram> h = RandomHistograms(90, bins, 5);
+      const std::vector<DivergentPair> top =
+          eval.TopPairs(h, 90 * 89 / 2).value();
+      ASSERT_EQ(top.size(), 90u * 89u / 2u);
+      for (const DivergentPair& pair : top) {
+        const double d =
+            eval.Distance(h[pair.index_a], h[pair.index_b]).value();
+        ASSERT_TRUE(SameBits(pair.distance, d))
+            << divergence << " bins=" << bins << " (" << pair.index_a << ", "
+            << pair.index_b << ")";
+      }
+    }
+  }
 }
 
 TEST(EvaluatorTest, DivergenceOptionChangesMeasure) {

@@ -1,6 +1,8 @@
 // Property-based sweeps over randomized workloads: invariants that must hold
 // for every (algorithm, scoring function, dataset seed) combination.
 
+#include <cfloat>
+#include <cstring>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -120,6 +122,51 @@ TEST_P(AlgorithmPropertyTest, ConstantScoresYieldZeroUnfairness) {
   UnfairnessEvaluator eval = Eval(constant);
   Partitioning p = Run(eval);
   EXPECT_DOUBLE_EQ(eval.AveragePairwiseUnfairness(p).value(), 0.0);
+}
+
+TEST_P(AlgorithmPropertyTest, SortedUnfairnessMatchesPairsThreadsAndCells) {
+  // Whatever partitioning an algorithm returns, the sorted per-bin average
+  // agrees with the mean over all pairs (within the tolerance evaluator_test
+  // documents), and is bit-identical at 4 threads and on the cell input.
+  auto fn = MakeAlphaFunction("f1", 0.5);
+  std::vector<double> scores = fn->ScoreAll(*table_).value();
+  std::vector<Histogram> rows;
+  for (double score : scores) {
+    Histogram h(10, 0.0, 1.0);
+    h.Add(score);
+    rows.push_back(std::move(h));
+  }
+  Partitioning p = Run(Eval(*fn));
+  ASSERT_GE(p.size(), 2u);
+  for (const char* divergence : {"emd", "tv"}) {
+    EvaluatorOptions options;
+    options.divergence = divergence;
+    UnfairnessEvaluator serial =
+        UnfairnessEvaluator::Make(table_.get(), scores, options).value();
+    UnfairnessEvaluator cells =
+        UnfairnessEvaluator::MakeFromHistograms(table_.get(), rows, options)
+            .value();
+    options.num_threads = 4;
+    UnfairnessEvaluator parallel =
+        UnfairnessEvaluator::Make(table_.get(), scores, options).value();
+
+    const double u = serial.AveragePairwiseUnfairness(p).value();
+    std::vector<Histogram> h = serial.BuildHistograms(p);
+    double sum = 0.0;
+    for (size_t i = 0; i < h.size(); ++i) {
+      for (size_t j = i + 1; j < h.size(); ++j) {
+        sum += serial.Distance(h[i], h[j]).value();
+      }
+    }
+    const double pairs = static_cast<double>(h.size() * (h.size() - 1) / 2);
+    EXPECT_NEAR(u, sum / pairs,
+                16.0 * static_cast<double>(h.size() + 10) * DBL_EPSILON)
+        << divergence;
+    const double u4 = parallel.AveragePairwiseUnfairness(p).value();
+    const double uc = cells.AveragePairwiseUnfairness(p).value();
+    EXPECT_EQ(std::memcmp(&u, &u4, sizeof(double)), 0) << divergence;
+    EXPECT_EQ(std::memcmp(&u, &uc, sizeof(double)), 0) << divergence;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, AlgorithmPropertyTest,

@@ -140,5 +140,28 @@ TEST(BootstrapTest, InvalidInputsFail) {
   EXPECT_FALSE(BootstrapUnfairness(eval, bad, 10, 1).ok());
 }
 
+TEST(SignificanceTest, CellTableEvaluatorFailsPrecondition) {
+  auto f6 = MakeF6(3);
+  Audited a = Audit(*f6, 100);
+  // One histogram per row: the evaluator of an aggregate (cell) audit,
+  // which has no individual scores to resample or permute.
+  std::vector<Histogram> rows;
+  for (double score : a.scores) {
+    Histogram h(10, 0.0, 1.0);
+    h.Add(score);
+    rows.push_back(std::move(h));
+  }
+  StatusOr<UnfairnessEvaluator> made = UnfairnessEvaluator::MakeFromHistograms(
+      &a.table, std::move(rows), EvaluatorOptions());
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  const UnfairnessEvaluator& eval = *made;
+  ASSERT_TRUE(eval.scores().empty());
+  EXPECT_EQ(BootstrapUnfairness(eval, a.partitioning, 10, 1).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(
+      PermutationTestUnfairness(eval, a.partitioning, 10, 1).status().code(),
+      StatusCode::kFailedPrecondition);
+}
+
 }  // namespace
 }  // namespace fairrank
