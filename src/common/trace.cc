@@ -179,7 +179,8 @@ std::string TraceContext::FormatTree() const {
     out += "- ";
     out += span.name;
     if (span.end_ns != 0) {
-      out += " " + FormatMillis(span.end_ns - span.start_ns);
+      out += " ";
+      out += FormatMillis(span.end_ns - span.start_ns);
     } else {
       out += " (open)";
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -325,6 +326,11 @@ void RunIngestShard(const Table& table, const std::vector<double>& scores,
       }
     }
     double score = scores[row];
+    if (!std::isfinite(score)) {
+      shard->status = Status::InvalidArgument(
+          "score " + std::to_string(row) + " is not finite");
+      return;
+    }
     if (dense) {
       shard->bins[cell * static_cast<size_t>(plan.num_bins) +
                   static_cast<size_t>(binner.BinOf(score))] += 1.0;

@@ -1,7 +1,6 @@
 #ifndef FAIRRANK_FAIRNESS_ALGORITHM_H_
 #define FAIRRANK_FAIRNESS_ALGORITHM_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,40 +12,42 @@
 
 namespace fairrank {
 
-/// Strategy for picking the next attribute to split on. The paper's
-/// algorithms pick the *worst* attribute (highest resulting average pairwise
-/// EMD); the r-balanced / r-unbalanced baselines pick uniformly at random.
-///
-/// Both methods return a *position into `attrs`* (not an attribute index),
-/// so callers can erase the chosen entry.
-class AttributeSelector {
- public:
-  virtual ~AttributeSelector() = default;
-
-  /// Picks the attribute for a global split of `current` (Algorithm 1's
-  /// worstAttribute(current, f, A)). `attrs` must be non-empty.
-  virtual StatusOr<size_t> SelectGlobal(const UnfairnessEvaluator& eval,
-                                        const Partitioning& current,
-                                        const std::vector<size_t>& attrs) = 0;
-
-  /// Picks the attribute for a local split of one partition against its
-  /// siblings' histograms (Algorithm 2's worstAttribute(current, f, A)).
-  /// `attrs` must be non-empty.
-  virtual StatusOr<size_t> SelectLocal(const UnfairnessEvaluator& eval,
-                                       const Partition& current,
-                                       const std::vector<Histogram>& siblings,
-                                       const std::vector<size_t>& attrs) = 0;
+/// One greedy step of Algorithms 1-2, already scored: the split on the
+/// chosen attribute with its histograms and the average the step compares.
+/// Balanced and unbalanced adopt it as is, so no split is built or scored
+/// twice.
+struct SplitChoice {
+  /// Position of the chosen attribute in `attrs` (not an attribute index),
+  /// so callers can erase the entry.
+  size_t pos = 0;
+  /// The split, in splitter order.
+  Partitioning partitions;
+  /// One histogram per partition.
+  std::vector<Histogram> histograms;
+  /// AveragePairwise(histograms) for a global step,
+  /// AverageChildrenWithSiblings(histograms, siblings) for a local one.
+  double score = 0.0;
 };
 
-/// Greedy selector: tries every remaining attribute and returns the one
-/// whose split yields the highest average pairwise divergence (globally for
-/// SelectGlobal; children-vs-siblings for SelectLocal). Ties break toward
-/// the earliest position, keeping runs deterministic.
-std::unique_ptr<AttributeSelector> MakeWorstAttributeSelector();
+/// Algorithm 1's worstAttribute(current, f, A): splits every partition of
+/// `current` on each attribute of `attrs` and returns the split with the
+/// highest average pairwise divergence; ties go to the earliest position.
+/// With `random` (the r-* baselines) the only candidate is the position one
+/// UniformIndex draw picks. Fails on an empty `attrs`; evaluator errors,
+/// exhaustion included, propagate.
+StatusOr<SplitChoice> ChooseGlobalSplit(const UnfairnessEvaluator& eval,
+                                        const Partitioning& current,
+                                        const std::vector<size_t>& attrs,
+                                        Rng* random);
 
-/// Uniform-random selector for the r-* baselines. Deterministic given the
-/// seed.
-std::unique_ptr<AttributeSelector> MakeRandomAttributeSelector(uint64_t seed);
+/// Algorithm 2's worstAttribute(current, f, A): as ChooseGlobalSplit, but
+/// splits the one partition `current` and scores its children against the
+/// siblings' histograms.
+StatusOr<SplitChoice> ChooseLocalSplit(const UnfairnessEvaluator& eval,
+                                       const Partition& current,
+                                       const std::vector<Histogram>& siblings,
+                                       const std::vector<size_t>& attrs,
+                                       Rng* random);
 
 /// Outcome of a bounded partition search. Always carries a valid full
 /// disjoint partitioning; `truncated` marks a best-effort answer produced

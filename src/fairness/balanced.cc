@@ -1,7 +1,6 @@
 #include "fairness/balanced.h"
 
 #include "common/trace.h"
-#include "fairness/splitter.h"
 
 namespace fairrank {
 
@@ -9,9 +8,10 @@ namespace {
 
 class BalancedAlgorithm : public PartitioningAlgorithm {
  public:
-  BalancedAlgorithm(std::string name,
-                    std::unique_ptr<AttributeSelector> selector)
-      : name_(std::move(name)), selector_(std::move(selector)) {}
+  BalancedAlgorithm(std::string name, std::optional<uint64_t> random_seed)
+      : name_(std::move(name)) {
+    if (random_seed.has_value()) random_.emplace(*random_seed);
+  }
 
   std::string Name() const override { return name_; }
 
@@ -39,43 +39,35 @@ class BalancedAlgorithm : public PartitioningAlgorithm {
       }
       result.nodes_visited += attrs.size();
 
-      int64_t expand_span = -1;
-      if (context.trace() != nullptr) {
-        expand_span =
-            context.trace()->StartSpan("expand", context.trace_parent());
+      ScopedSpan expand_span(context.trace(), "expand",
+                             context.trace_parent());
+      StatusOr<SplitChoice> choice =
+          ChooseGlobalSplit(eval, current, attrs, rng());
+      if (!choice.ok()) {
+        return DegradeOnExhaustion(std::move(result), choice.status());
       }
-      StatusOr<size_t> pos = selector_->SelectGlobal(eval, current, attrs);
-      if (context.trace() != nullptr) context.trace()->EndSpan(expand_span);
-      if (!pos.ok()) return DegradeOnExhaustion(std::move(result),
-                                                pos.status());
-      size_t attr = attrs[*pos];
-      attrs.erase(attrs.begin() + static_cast<ptrdiff_t>(*pos));
-      Partitioning children = SplitAll(eval.table(), current, attr);
-      ScopedSpan evaluate_span(context.trace(), "evaluate",
-                               context.trace_parent());
-      StatusOr<double> children_avg = eval.AveragePairwiseUnfairness(children);
-      if (!children_avg.ok()) {
-        return DegradeOnExhaustion(std::move(result), children_avg.status());
-      }
-      if (!first && current_avg >= *children_avg) break;
-      current = std::move(children);
-      current_avg = *children_avg;
+      attrs.erase(attrs.begin() + static_cast<ptrdiff_t>(choice->pos));
+      if (!first && current_avg >= choice->score) break;
+      current = std::move(choice->partitions);
+      current_avg = choice->score;
       first = false;
     }
     return result;
   }
 
  private:
+  Rng* rng() { return random_.has_value() ? &*random_ : nullptr; }
+
   std::string name_;
-  std::unique_ptr<AttributeSelector> selector_;
+  /// Set for r-balanced: one draw per level, continuing across Run calls.
+  std::optional<Rng> random_;
 };
 
 }  // namespace
 
 std::unique_ptr<PartitioningAlgorithm> MakeBalancedAlgorithm(
-    std::string name, std::unique_ptr<AttributeSelector> selector) {
-  return std::make_unique<BalancedAlgorithm>(std::move(name),
-                                             std::move(selector));
+    std::string name, std::optional<uint64_t> random_seed) {
+  return std::make_unique<BalancedAlgorithm>(std::move(name), random_seed);
 }
 
 }  // namespace fairrank

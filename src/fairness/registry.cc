@@ -11,18 +11,16 @@ namespace fairrank {
 StatusOr<std::unique_ptr<PartitioningAlgorithm>> MakeAlgorithmByName(
     const std::string& name, const AlgorithmConfig& config) {
   if (name == "balanced") {
-    return MakeBalancedAlgorithm("balanced", MakeWorstAttributeSelector());
+    return MakeBalancedAlgorithm("balanced", std::nullopt);
   }
   if (name == "unbalanced") {
-    return MakeUnbalancedAlgorithm("unbalanced", MakeWorstAttributeSelector());
+    return MakeUnbalancedAlgorithm("unbalanced", std::nullopt);
   }
   if (name == "r-balanced") {
-    return MakeBalancedAlgorithm("r-balanced",
-                                 MakeRandomAttributeSelector(config.seed));
+    return MakeBalancedAlgorithm("r-balanced", config.seed);
   }
   if (name == "r-unbalanced") {
-    return MakeUnbalancedAlgorithm("r-unbalanced",
-                                   MakeRandomAttributeSelector(config.seed));
+    return MakeUnbalancedAlgorithm("r-unbalanced", config.seed);
   }
   if (name == "all-attributes") {
     return MakeAllAttributesAlgorithm();

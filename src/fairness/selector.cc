@@ -1,3 +1,5 @@
+#include <optional>
+
 #include "fairness/algorithm.h"
 #include "fairness/splitter.h"
 
@@ -5,91 +7,58 @@ namespace fairrank {
 
 namespace {
 
-class WorstAttributeSelector : public AttributeSelector {
- public:
-  StatusOr<size_t> SelectGlobal(const UnfairnessEvaluator& eval,
-                                const Partitioning& current,
-                                const std::vector<size_t>& attrs) override {
-    if (attrs.empty()) {
-      return Status::InvalidArgument("no attributes to select from");
-    }
-    size_t best_pos = 0;
-    double best_avg = -1.0;
-    for (size_t pos = 0; pos < attrs.size(); ++pos) {
-      Partitioning candidate = SplitAll(eval.table(), current, attrs[pos]);
-      FAIRRANK_ASSIGN_OR_RETURN(double avg,
-                                eval.AveragePairwiseUnfairness(candidate));
-      if (avg > best_avg) {
-        best_avg = avg;
-        best_pos = pos;
-      }
-    }
-    return best_pos;
+/// The greedy step shared by both scopes. `split(attr)` builds a candidate
+/// and `score(histograms)` rates it; each candidate is split, binned and
+/// scored exactly once.
+template <typename SplitFn, typename ScoreFn>
+StatusOr<SplitChoice> Choose(const UnfairnessEvaluator& eval,
+                             const std::vector<size_t>& attrs, Rng* random,
+                             const SplitFn& split, const ScoreFn& score) {
+  if (attrs.empty()) {
+    return Status::InvalidArgument("no attributes to select from");
   }
-
-  StatusOr<size_t> SelectLocal(const UnfairnessEvaluator& eval,
-                               const Partition& current,
-                               const std::vector<Histogram>& siblings,
-                               const std::vector<size_t>& attrs) override {
-    if (attrs.empty()) {
-      return Status::InvalidArgument("no attributes to select from");
-    }
-    size_t best_pos = 0;
-    double best_avg = -1.0;
-    for (size_t pos = 0; pos < attrs.size(); ++pos) {
-      std::vector<Histogram> children = eval.BuildHistograms(
-          SplitPartition(eval.table(), current, attrs[pos]));
-      FAIRRANK_ASSIGN_OR_RETURN(
-          double avg, eval.AverageChildrenWithSiblings(children, siblings));
-      if (avg > best_avg) {
-        best_avg = avg;
-        best_pos = pos;
-      }
-    }
-    return best_pos;
+  auto candidate = [&](size_t pos) -> StatusOr<SplitChoice> {
+    SplitChoice choice;
+    choice.pos = pos;
+    choice.partitions = split(attrs[pos]);
+    choice.histograms = eval.BuildHistograms(choice.partitions);
+    FAIRRANK_ASSIGN_OR_RETURN(choice.score, score(choice.histograms));
+    return choice;
+  };
+  if (random != nullptr) return candidate(random->UniformIndex(attrs.size()));
+  std::optional<SplitChoice> best;
+  for (size_t pos = 0; pos < attrs.size(); ++pos) {
+    FAIRRANK_ASSIGN_OR_RETURN(SplitChoice next, candidate(pos));
+    if (!best.has_value() || next.score > best->score) best = std::move(next);
   }
-};
-
-class RandomAttributeSelector : public AttributeSelector {
- public:
-  explicit RandomAttributeSelector(uint64_t seed) : rng_(seed) {}
-
-  StatusOr<size_t> SelectGlobal(const UnfairnessEvaluator& eval,
-                                const Partitioning& current,
-                                const std::vector<size_t>& attrs) override {
-    (void)eval;
-    (void)current;
-    if (attrs.empty()) {
-      return Status::InvalidArgument("no attributes to select from");
-    }
-    return rng_.UniformIndex(attrs.size());
-  }
-
-  StatusOr<size_t> SelectLocal(const UnfairnessEvaluator& eval,
-                               const Partition& current,
-                               const std::vector<Histogram>& siblings,
-                               const std::vector<size_t>& attrs) override {
-    (void)eval;
-    (void)current;
-    (void)siblings;
-    if (attrs.empty()) {
-      return Status::InvalidArgument("no attributes to select from");
-    }
-    return rng_.UniformIndex(attrs.size());
-  }
-
- private:
-  Rng rng_;
-};
+  return std::move(*best);
+}
 
 }  // namespace
 
-std::unique_ptr<AttributeSelector> MakeWorstAttributeSelector() {
-  return std::make_unique<WorstAttributeSelector>();
+StatusOr<SplitChoice> ChooseGlobalSplit(const UnfairnessEvaluator& eval,
+                                        const Partitioning& current,
+                                        const std::vector<size_t>& attrs,
+                                        Rng* random) {
+  return Choose(
+      eval, attrs, random,
+      [&](size_t attr) { return SplitAll(eval.table(), current, attr); },
+      [&](const std::vector<Histogram>& histograms) {
+        return eval.AveragePairwise(histograms);
+      });
 }
 
-std::unique_ptr<AttributeSelector> MakeRandomAttributeSelector(uint64_t seed) {
-  return std::make_unique<RandomAttributeSelector>(seed);
+StatusOr<SplitChoice> ChooseLocalSplit(const UnfairnessEvaluator& eval,
+                                       const Partition& current,
+                                       const std::vector<Histogram>& siblings,
+                                       const std::vector<size_t>& attrs,
+                                       Rng* random) {
+  return Choose(
+      eval, attrs, random,
+      [&](size_t attr) { return SplitPartition(eval.table(), current, attr); },
+      [&](const std::vector<Histogram>& histograms) {
+        return eval.AverageChildrenWithSiblings(histograms, siblings);
+      });
 }
 
 }  // namespace fairrank

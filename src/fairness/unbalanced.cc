@@ -9,9 +9,10 @@ namespace {
 
 class UnbalancedAlgorithm : public PartitioningAlgorithm {
  public:
-  UnbalancedAlgorithm(std::string name,
-                      std::unique_ptr<AttributeSelector> selector)
-      : name_(std::move(name)), selector_(std::move(selector)) {}
+  UnbalancedAlgorithm(std::string name, std::optional<uint64_t> random_seed)
+      : name_(std::move(name)) {
+    if (random_seed.has_value()) random_.emplace(*random_seed);
+  }
 
   std::string Name() const override { return name_; }
 
@@ -21,30 +22,37 @@ class UnbalancedAlgorithm : public PartitioningAlgorithm {
                              std::vector<size_t> attrs,
                              const ExecutionContext& context) override {
     SearchResult result;
-    Partition root = MakeRootPartition(eval.table().num_rows());
-    result.partitioning = {root};
+    result.partitioning = {MakeRootPartition(eval.table().num_rows())};
     if (attrs.empty()) return result;
 
-    // Initial split on the selector's attribute, "as in the case of
+    // Initial split on the worst (or random) attribute, "as in the case of
     // balanced"; Algorithm 2 is then invoked once per resulting partition.
     ExhaustionReason why = context.CheckNodes(attrs.size());
     if (why != ExhaustionReason::kNone) {
       return TruncatedResult(std::move(result), why);
     }
     result.nodes_visited += attrs.size();
-    int64_t expand_span = -1;
-    if (context.trace() != nullptr) {
-      expand_span =
-          context.trace()->StartSpan("expand", context.trace_parent());
+    StatusOr<SplitChoice> choice = [&]() -> StatusOr<SplitChoice> {
+      ScopedSpan expand_span(context.trace(), "expand",
+                             context.trace_parent());
+      if (!random_.has_value()) {
+        return ChooseGlobalSplit(eval, result.partitioning, attrs, nullptr);
+      }
+      // The root split is unconditional and Algorithm 2 reads no score of
+      // it, so the random baseline draws, splits and bins it unscored.
+      SplitChoice drawn;
+      drawn.pos = random_->UniformIndex(attrs.size());
+      drawn.partitions =
+          SplitAll(eval.table(), result.partitioning, attrs[drawn.pos]);
+      drawn.histograms = eval.BuildHistograms(drawn.partitions);
+      return drawn;
+    }();
+    if (!choice.ok()) {
+      return DegradeOnExhaustion(std::move(result), choice.status());
     }
-    StatusOr<size_t> pos =
-        selector_->SelectGlobal(eval, result.partitioning, attrs);
-    if (context.trace() != nullptr) context.trace()->EndSpan(expand_span);
-    if (!pos.ok()) return DegradeOnExhaustion(std::move(result), pos.status());
-    size_t attr = attrs[*pos];
-    attrs.erase(attrs.begin() + static_cast<ptrdiff_t>(*pos));
-    std::vector<Partition> children = SplitPartition(eval.table(), root, attr);
-    std::vector<Histogram> histograms = eval.BuildHistograms(children);
+    attrs.erase(attrs.begin() + static_cast<ptrdiff_t>(choice->pos));
+    const Partitioning& children = choice->partitions;
+    const std::vector<Histogram>& histograms = choice->histograms;
 
     RunState state{&context, &result};
     Partitioning output;
@@ -84,7 +92,7 @@ class UnbalancedAlgorithm : public PartitioningAlgorithm {
     return siblings;
   }
 
-  /// Degradation path for a failed evaluator / selector call inside the
+  /// Degradation path for a failed evaluator / choice call inside the
   /// recursion: exhaustion trips the run state and closes `current` as a
   /// leaf; real errors propagate.
   static Status CloseOrFail(const Status& status, const Partition& current,
@@ -117,34 +125,24 @@ class UnbalancedAlgorithm : public PartitioningAlgorithm {
     state->result->nodes_visited += attrs.size();
     TraceContext* trace = state->context->trace();
     const int64_t trace_parent = state->context->trace_parent();
-    int64_t eval_span =
-        trace != nullptr ? trace->StartSpan("evaluate", trace_parent) : -1;
-    StatusOr<double> current_avg =
-        eval.AverageWithSiblings(histogram, siblings);
-    if (trace != nullptr) trace->EndSpan(eval_span);
+    StatusOr<double> current_avg = [&] {
+      ScopedSpan evaluate_span(trace, "evaluate", trace_parent);
+      return eval.AverageWithSiblings(histogram, siblings);
+    }();
     if (!current_avg.ok()) {
       return CloseOrFail(current_avg.status(), current, state, output);
     }
-    int64_t expand_span =
-        trace != nullptr ? trace->StartSpan("expand", trace_parent) : -1;
-    StatusOr<size_t> pos =
-        selector_->SelectLocal(eval, current, siblings, attrs);
-    if (trace != nullptr) trace->EndSpan(expand_span);
-    if (!pos.ok()) return CloseOrFail(pos.status(), current, state, output);
-    size_t attr = attrs[*pos];
-    attrs.erase(attrs.begin() + static_cast<ptrdiff_t>(*pos));
-    std::vector<Partition> children =
-        SplitPartition(eval.table(), current, attr);
-    std::vector<Histogram> histograms = eval.BuildHistograms(children);
-    int64_t children_span =
-        trace != nullptr ? trace->StartSpan("evaluate", trace_parent) : -1;
-    StatusOr<double> children_avg =
-        eval.AverageChildrenWithSiblings(histograms, siblings);
-    if (trace != nullptr) trace->EndSpan(children_span);
-    if (!children_avg.ok()) {
-      return CloseOrFail(children_avg.status(), current, state, output);
+    StatusOr<SplitChoice> choice = [&] {
+      ScopedSpan expand_span(trace, "expand", trace_parent);
+      return ChooseLocalSplit(eval, current, siblings, attrs, rng());
+    }();
+    if (!choice.ok()) {
+      return CloseOrFail(choice.status(), current, state, output);
     }
-    if (*current_avg >= *children_avg) {  // Line 9-10.
+    attrs.erase(attrs.begin() + static_cast<ptrdiff_t>(choice->pos));
+    const Partitioning& children = choice->partitions;
+    const std::vector<Histogram>& histograms = choice->histograms;
+    if (*current_avg >= choice->score) {  // Line 9-10.
       output->push_back(current);
       return Status::OK();
     }
@@ -156,16 +154,18 @@ class UnbalancedAlgorithm : public PartitioningAlgorithm {
     return Status::OK();
   }
 
+  Rng* rng() { return random_.has_value() ? &*random_ : nullptr; }
+
   std::string name_;
-  std::unique_ptr<AttributeSelector> selector_;
+  /// Set for r-unbalanced: one draw per step, continuing across Run calls.
+  std::optional<Rng> random_;
 };
 
 }  // namespace
 
 std::unique_ptr<PartitioningAlgorithm> MakeUnbalancedAlgorithm(
-    std::string name, std::unique_ptr<AttributeSelector> selector) {
-  return std::make_unique<UnbalancedAlgorithm>(std::move(name),
-                                               std::move(selector));
+    std::string name, std::optional<uint64_t> random_seed) {
+  return std::make_unique<UnbalancedAlgorithm>(std::move(name), random_seed);
 }
 
 }  // namespace fairrank

@@ -1,5 +1,7 @@
 #include "marketplace/scoring.h"
 
+#include <cmath>
+
 #include "common/str_util.h"
 #include "marketplace/worker.h"
 
@@ -20,6 +22,10 @@ StatusOr<std::vector<double>> LinearScoringFunction::ScoreAll(
   std::vector<Term> terms;
   terms.reserve(weights_.size());
   for (const auto& [name, weight] : weights_) {
+    if (!std::isfinite(weight)) {
+      return Status::InvalidArgument("weight for attribute '" + name +
+                                     "' is not finite");
+    }
     if (weight < 0.0) {
       return Status::InvalidArgument("negative weight for attribute '" + name +
                                      "'");

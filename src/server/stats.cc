@@ -66,7 +66,9 @@ std::string ServerStats::ToJson(const ResourceBudget* process_budget,
   for (const auto& [reason, count] : shed_) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + JsonEscape(reason) + "\":" + std::to_string(count);
+    out += "\"";
+    out += JsonEscape(reason);
+    out += "\":" + std::to_string(count);
     shed_total += count;
   }
   if (!first) out += ",";
@@ -99,7 +101,9 @@ std::string ServerStats::ToJson(const ResourceBudget* process_budget,
   for (const auto& [endpoint, ep] : endpoints_) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + JsonEscape(endpoint) + "\":{";
+    out += "\"";
+    out += JsonEscape(endpoint);
+    out += "\":{";
     out += "\"count\":" + std::to_string(ep.count) + ",";
     out += "\"errors\":" + std::to_string(ep.errors) + ",";
     out += "\"truncated\":" + std::to_string(ep.truncated) + ",";

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -241,6 +242,32 @@ TEST(BuildCellStoreParallelTest, ValidatesInput) {
   EXPECT_EQ(
       BuildCellStoreParallel(workers, scores, bad_attr).status().code(),
       StatusCode::kNotFound);
+}
+
+// The row audit refuses non-finite scores in UnfairnessEvaluator::Make;
+// the cell ingest refuses them too, naming the first bad row, instead of
+// binning NaN into an edge bin.
+TEST(BuildCellStoreParallelTest, RejectsNonFiniteScores) {
+  GeneratorOptions gen;
+  gen.num_workers = 200;
+  gen.seed = 4;
+  Table workers = GenerateWorkers(gen).value();
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    std::vector<double> scores(workers.num_rows(), 0.5);
+    scores[137] = bad;
+    scores[151] = bad;
+    for (int threads : {1, 3}) {
+      CellStoreIngestOptions options;
+      options.num_threads = threads;
+      StatusOr<CellStore> store =
+          BuildCellStoreParallel(workers, scores, options);
+      ASSERT_FALSE(store.ok()) << bad << " " << threads;
+      EXPECT_EQ(store.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(store.status().message(), "score 137 is not finite");
+    }
+  }
 }
 
 TEST(BuildCellStoreParallelTest, RestrictsToNamedAttributes) {

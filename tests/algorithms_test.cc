@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "fairness/registry.h"
 #include "fairness/splitter.h"
 #include "marketplace/biased_scoring.h"
@@ -262,12 +265,21 @@ void ReferenceRecurse(const UnfairnessEvaluator& eval, const Partition& current,
 
 Partitioning ReferenceUnbalanced(const UnfairnessEvaluator& eval,
                                  std::vector<size_t> attrs) {
-  Partitioning root{MakeRootPartition(eval.table().num_rows())};
-  const size_t pos =
-      MakeWorstAttributeSelector()->SelectGlobal(eval, root, attrs).value();
+  const Partition root = MakeRootPartition(eval.table().num_rows());
+  size_t pos = 0;
+  double best_avg = -1.0;
+  for (size_t a = 0; a < attrs.size(); ++a) {
+    const double avg = eval.AveragePairwiseUnfairness(
+                               SplitPartition(eval.table(), root, attrs[a]))
+                           .value();
+    if (avg > best_avg) {
+      best_avg = avg;
+      pos = a;
+    }
+  }
   const size_t attr = attrs[pos];
   attrs.erase(attrs.begin() + static_cast<ptrdiff_t>(pos));
-  Partitioning children = SplitPartition(eval.table(), root[0], attr);
+  Partitioning children = SplitPartition(eval.table(), root, attr);
   Partitioning out;
   for (size_t i = 0; i < children.size(); ++i) {
     Partitioning others = children;
@@ -296,6 +308,154 @@ TEST(UnbalancedTest, CarriedHistogramsMatchAlgorithm2FromRows) {
         EXPECT_EQ(got[i].path, expected[i].path) << fn->Name() << " " << i;
       }
     }
+  }
+}
+
+/// Histograms a balanced run must build when every candidate split is
+/// binned once and the winner is adopted as scored: for each level the
+/// search scored, the partitions of every candidate split. The levels are
+/// read off the answer's path; a last, rejected level is scored whenever
+/// attributes remain.
+uint64_t BalancedCandidateHistograms(const Table& table,
+                                     const Partitioning& answer,
+                                     std::vector<size_t> attrs) {
+  auto candidates = [&](const Partitioning& current) {
+    uint64_t n = 0;
+    for (size_t a : attrs) n += SplitAll(table, current, a).size();
+    return n;
+  };
+  Partitioning current{MakeRootPartition(table.num_rows())};
+  uint64_t total = 0;
+  for (const SplitStep& step : answer[0].path) {
+    total += candidates(current);
+    current = SplitAll(table, current, step.attr_index);
+    attrs.erase(std::find(attrs.begin(), attrs.end(), step.attr_index));
+  }
+  if (!attrs.empty()) total += candidates(current);
+  return total;
+}
+
+/// The same count for an unbalanced run, walking the answer's tree from
+/// `node`: every node that still has attributes scores one candidate split
+/// per attribute; inner nodes then recurse into the split they adopted.
+uint64_t UnbalancedCandidateHistograms(const Table& table,
+                                       const Partitioning& answer,
+                                       const Partition& node,
+                                       std::vector<size_t> attrs) {
+  if (attrs.empty()) return 0;
+  uint64_t total = 0;
+  for (size_t a : attrs) total += SplitPartition(table, node, a).size();
+  const size_t depth = node.path.size();
+  for (const Partition& leaf : answer) {
+    if (leaf.path.size() <= depth ||
+        !std::equal(node.path.begin(), node.path.end(), leaf.path.begin())) {
+      continue;
+    }
+    // An inner node: its children share the next step's attribute.
+    const size_t attr = leaf.path[depth].attr_index;
+    attrs.erase(std::find(attrs.begin(), attrs.end(), attr));
+    for (const Partition& child : SplitPartition(table, node, attr)) {
+      total += UnbalancedCandidateHistograms(table, answer, child, attrs);
+    }
+    return total;
+  }
+  return total;  // A leaf.
+}
+
+// Each greedy step scores every candidate split once and adopts the winner
+// as scored: the search builds exactly the candidates' histograms, with no
+// second split or histogram pass over the winner.
+TEST(GreedyStepTest, SearchBuildsEachCandidateHistogramOnce) {
+  Table workers = Workers(500);
+  const std::vector<size_t> attrs = workers.schema().ProtectedIndices();
+  for (const auto& fn : {MakeF6(5), MakeF7(5), MakeF9(5),
+                         MakeAlphaFunction("f1", 0.5)}) {
+    {
+      UnfairnessEvaluator eval = MakeEvaluator(&workers, *fn);
+      Partitioning got =
+          MakeAlgorithmByName("balanced").value()->Run(eval, attrs).value();
+      EXPECT_EQ(eval.cache_stats().histogram_misses,
+                BalancedCandidateHistograms(workers, got, attrs))
+          << fn->Name();
+    }
+    {
+      UnfairnessEvaluator eval = MakeEvaluator(&workers, *fn);
+      Partitioning got =
+          MakeAlgorithmByName("unbalanced").value()->Run(eval, attrs).value();
+      EXPECT_EQ(eval.cache_stats().histogram_misses,
+                UnbalancedCandidateHistograms(
+                    workers, got, MakeRootPartition(workers.num_rows()),
+                    attrs))
+          << fn->Name();
+    }
+  }
+}
+
+/// FNV-1a over every partition's size and split path, in answer order.
+uint64_t AnswerDigest(const Partitioning& p) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const Partition& part : p) {
+    mix(part.rows.size());
+    for (const SplitStep& step : part.path) {
+      mix(step.attr_index);
+      mix(static_cast<uint64_t>(step.group_index));
+    }
+  }
+  return h;
+}
+
+// Pinned answers of the random baselines (500 workers, f1 at alpha 0.5),
+// recorded before the greedy step was folded into one choice function: the
+// same single draw per step must give the same partitions and unfairness,
+// and a second Run on the same object must continue the same stream.
+TEST(RandomBaselinesTest, AnswersArePinnedPerSeed) {
+  struct Pinned {
+    const char* algorithm;
+    uint64_t seed;
+    int run;
+    size_t partitions;
+    double unfairness;
+    uint64_t digest;
+  };
+  const Pinned pinned[] = {
+      {"r-balanced", 1, 0, 438, 0x1.dcc419b2235d1p-3, 0x9540d6e06b14dd86ull},
+      {"r-balanced", 1, 1, 438, 0x1.dcc419b2235d1p-3, 0x4b4789c632650666ull},
+      {"r-balanced", 7, 0, 438, 0x1.dcc419b2235d1p-3, 0x35b8c42613fc87e6ull},
+      {"r-balanced", 7, 1, 386, 0x1.dd62dbe4f5773p-3, 0xb7e8445ba59019c2ull},
+      {"r-balanced", 42, 0, 438, 0x1.dcc419b2235d1p-3, 0x79873742b35e6606ull},
+      {"r-balanced", 42, 1, 438, 0x1.dcc419b2235d1p-3, 0x4c8898486f4b9ae6ull},
+      {"r-unbalanced", 1, 0, 266, 0x1.e304de896fd34p-3, 0xd9532a89838e7044ull},
+      {"r-unbalanced", 1, 1, 262, 0x1.ebc0887cc6acbp-3, 0xe33e42cac7ef18e0ull},
+      {"r-unbalanced", 7, 0, 260, 0x1.f6af1bdc4dbbp-3, 0xe00903380151bb45ull},
+      {"r-unbalanced", 7, 1, 308, 0x1.e95729f153c8fp-3, 0x6ebe223339a51fa8ull},
+      {"r-unbalanced", 42, 0, 288, 0x1.ea20417017d3ap-3, 0xdf97380fab6d0870ull},
+      {"r-unbalanced", 42, 1, 289, 0x1.e950c7fe30525p-3, 0x7917ff18a51b646full},
+  };
+  Table workers = Workers(500);
+  auto fn = MakeAlphaFunction("f1", 0.5);
+  UnfairnessEvaluator eval = MakeEvaluator(&workers, *fn);
+  const std::vector<size_t> attrs = workers.schema().ProtectedIndices();
+  std::unique_ptr<PartitioningAlgorithm> algo;
+  for (const Pinned& want : pinned) {
+    if (want.run == 0) {
+      AlgorithmConfig config;
+      config.seed = want.seed;
+      algo = MakeAlgorithmByName(want.algorithm, config).value();
+    }
+    Partitioning got = algo->Run(eval, attrs).value();
+    const std::string where = std::string(want.algorithm) + " seed " +
+                              std::to_string(want.seed) + " run " +
+                              std::to_string(want.run);
+    EXPECT_EQ(got.size(), want.partitions) << where;
+    EXPECT_EQ(eval.AveragePairwiseUnfairness(got).value(), want.unfairness)
+        << where;
+    EXPECT_EQ(AnswerDigest(got), want.digest) << where;
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <tuple>
+
 namespace fairrank {
 namespace {
 
@@ -25,6 +28,39 @@ TEST(HistogramTest, OutOfRangeClampsToEdgeBins) {
   Histogram h(10, 0.0, 1.0);
   EXPECT_EQ(h.BinOf(-0.5), 0);
   EXPECT_EQ(h.BinOf(2.0), 9);
+}
+
+// Values whose bin index lies beyond int's range are clamped in double
+// before any cast, so they reach the edge bins instead of wrapping.
+TEST(HistogramTest, HugeValuesLandInEdgeBinsAndCountClamped) {
+  const double max = std::numeric_limits<double>::max();
+  for (double value : {1e12, max, 1e300}) {
+    Histogram h(10, 0.0, 1.0);
+    EXPECT_EQ(h.BinOf(value), 9) << value;
+    h.Add(value);
+    EXPECT_DOUBLE_EQ(h.counts()[9], 1.0) << value;
+    EXPECT_DOUBLE_EQ(h.clamped_count(), 1.0) << value;
+  }
+  for (double value : {-1e12, -max, -1e300}) {
+    Histogram h(10, 0.0, 1.0);
+    EXPECT_EQ(h.BinOf(value), 0) << value;
+    h.Add(value);
+    EXPECT_DOUBLE_EQ(h.counts()[0], 1.0) << value;
+    EXPECT_DOUBLE_EQ(h.clamped_count(), 1.0) << value;
+  }
+}
+
+// Exactly `hi` is inside [lo, hi]: it lands in the last bin and is not
+// clamped, on ranges whose width does not divide evenly.
+TEST(HistogramTest, ExactlyHiLandsInLastBinUnclamped) {
+  for (auto [lo, hi, bins] : {std::tuple{0.0, 1.0, 10}, {0.0, 1.0, 3},
+                              {-2.5, 0.7, 7}, {0.1, 0.3, 1000}}) {
+    Histogram h(bins, lo, hi);
+    EXPECT_EQ(h.BinOf(hi), bins - 1) << lo << " " << hi;
+    h.Add(hi);
+    EXPECT_DOUBLE_EQ(h.counts()[bins - 1], 1.0);
+    EXPECT_DOUBLE_EQ(h.clamped_count(), 0.0);
+  }
 }
 
 TEST(HistogramTest, InRangeValuesAreNotCountedClamped) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "marketplace/generator.h"
 #include "marketplace/worker.h"
 
@@ -83,6 +86,20 @@ TEST(LinearScoringTest, NegativeWeightFails) {
   LinearScoringFunction fn("bad", {{worker_attrs::kLanguageTest, -0.5}});
   EXPECT_EQ(fn.ScoreAll(workers).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(LinearScoringTest, NonFiniteWeightFails) {
+  Table workers = SmallWorkers();
+  for (double weight : {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()}) {
+    LinearScoringFunction fn("bad", {{worker_attrs::kLanguageTest, weight}});
+    StatusOr<std::vector<double>> scores = fn.ScoreAll(workers);
+    ASSERT_FALSE(scores.ok()) << weight;
+    EXPECT_EQ(scores.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(scores.status().message().find("not finite"), std::string::npos)
+        << scores.status().ToString();
+  }
 }
 
 TEST(LinearScoringTest, ZeroWeightAttributeIgnored) {
