@@ -77,15 +77,26 @@ BENCHMARK(BM_AveragePairwiseUnfairness)
     ->Arg(300)
     ->Arg(1765);
 
-/// The report's worst pairs: the three most divergent of all pairs.
+/// The pairs one TopPairs call computed, averaged over the iterations:
+/// the evaluator's divergence count grows by exactly those.
+double PairsEvaluated(const UnfairnessEvaluator& eval, uint64_t before,
+                      const benchmark::State& state) {
+  return static_cast<double>(eval.cache_stats().divergence_misses - before) /
+         static_cast<double>(state.iterations());
+}
+
+/// The report's worst pairs: the three most divergent of all pairs. The
+/// histograms are rebuilt every iteration, as the report does.
 void BM_TopDivergentPairs(benchmark::State& state) {
   Table workers = MakeWorkers(7300);
   UnfairnessEvaluator eval = MakeEval(workers);
   Partitioning p = PartitioningOfSize(workers, state.range(0));
+  const uint64_t before = eval.cache_stats().divergence_misses;
   for (auto _ : state) {
     benchmark::DoNotOptimize(TopDivergentPairs(eval, p, 3).value());
   }
   state.counters["partitions"] = static_cast<double>(p.size());
+  state.counters["pairs_evaluated"] = PairsEvaluated(eval, before, state);
 }
 BENCHMARK(BM_TopDivergentPairs)
     ->Arg(2)
@@ -93,6 +104,22 @@ BENCHMARK(BM_TopDivergentPairs)
     ->Arg(30)
     ->Arg(300)
     ->Arg(1765);
+
+/// TopPairs' worst case: `k` copies of one histogram tie at distance 0, so
+/// its bound prunes nothing and every pair is computed.
+void BM_TopPairsNoPruning(benchmark::State& state) {
+  Table workers = MakeWorkers(7300);
+  UnfairnessEvaluator eval = MakeEval(workers);
+  const std::vector<Histogram> h(
+      static_cast<size_t>(state.range(0)),
+      eval.BuildHistogram(MakeRootPartition(workers.num_rows())));
+  const uint64_t before = eval.cache_stats().divergence_misses;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(eval.TopPairs(h, 3).value());
+  }
+  state.counters["pairs_evaluated"] = PairsEvaluated(eval, before, state);
+}
+BENCHMARK(BM_TopPairsNoPruning)->Arg(300)->Arg(1765);
 
 void BM_Algorithm(benchmark::State& state, const std::string& name) {
   Table workers = MakeWorkers(static_cast<size_t>(state.range(0)));

@@ -52,6 +52,7 @@ AttributeSpec AttributeSpec::Integer(std::string name, AttributeRole role,
   spec.min_ = static_cast<double>(min);
   spec.max_ = static_cast<double>(max);
   spec.num_buckets_ = num_buckets;
+  spec.FormatBucketLabels();
   return spec;
 }
 
@@ -64,6 +65,7 @@ AttributeSpec AttributeSpec::Real(std::string name, AttributeRole role,
   spec.min_ = min;
   spec.max_ = max;
   spec.num_buckets_ = num_buckets;
+  spec.FormatBucketLabels();
   return spec;
 }
 
@@ -141,6 +143,14 @@ std::string AttributeSpec::GroupLabel(int group_index) const {
     }
     return "<invalid>";
   }
+  if (group_index >= 0 &&
+      static_cast<size_t>(group_index) < bucket_labels_.size()) {
+    return bucket_labels_[group_index];
+  }
+  return FormatBucketLabel(group_index);
+}
+
+std::string AttributeSpec::FormatBucketLabel(int group_index) const {
   double width = (max_ - min_) / num_buckets_;
   double lo = min_ + group_index * width;
   double hi = lo + width;
@@ -153,6 +163,12 @@ std::string AttributeSpec::GroupLabel(int group_index) const {
   label += FormatDouble(hi, precision);
   label += (group_index == num_buckets_ - 1) ? "]" : ")";
   return label;
+}
+
+void AttributeSpec::FormatBucketLabels() {
+  for (int g = 0; g < num_buckets_; ++g) {
+    bucket_labels_.push_back(FormatBucketLabel(g));
+  }
 }
 
 }  // namespace fairrank

@@ -87,11 +87,17 @@ class AttributeSpec {
   int GroupIndexOfReal(double value) const;
 
   /// Human-readable label of a group: the category name, or the bucket
-  /// interval like "[1950,1962)".
+  /// interval like "[1950,1962)" (the last bucket closes with "]"). Bucket
+  /// labels are formatted once, when the spec is built.
   std::string GroupLabel(int group_index) const;
 
  private:
   AttributeSpec() = default;
+
+  /// Numeric only: formats bucket `group_index`'s interval, in range or not.
+  std::string FormatBucketLabel(int group_index) const;
+  /// Numeric only: fills bucket_labels_ for every bucket.
+  void FormatBucketLabels();
 
   std::string name_;
   AttributeKind kind_ = AttributeKind::kCategorical;
@@ -100,6 +106,8 @@ class AttributeSpec {
   double min_ = 0.0;
   double max_ = 0.0;
   int num_buckets_ = 1;
+  /// Numeric only: FormatBucketLabel of each bucket, in order.
+  std::vector<std::string> bucket_labels_;
 };
 
 }  // namespace fairrank

@@ -107,6 +107,12 @@ Status CellStore::CheckKey(const std::vector<int>& groups) const {
 
 Status CellStore::Add(const std::vector<int>& groups, double score) {
   FAIRRANK_RETURN_NOT_OK(CheckKey(groups));
+  // A NaN would land in bin 0 without counting as clamped; refuse it, and
+  // +-Inf with it, numbered by the observation it would have been.
+  if (!std::isfinite(score)) {
+    return Status::InvalidArgument(
+        "score " + std::to_string(observations_) + " is not finite");
+  }
   auto it = cells_.find(groups);
   if (it == cells_.end()) {
     it = cells_.emplace(groups, StoreCell(num_bins_, score_lo_, score_hi_))

@@ -62,7 +62,8 @@ class CellStore {
 
   /// Adds one observation for the worker whose protected attribute groups
   /// are `groups` (one group index per spec, in spec order). Fails on a
-  /// wrong arity or an out-of-range group.
+  /// wrong arity, an out-of-range group or a non-finite score, leaving the
+  /// store unchanged.
   Status Add(const std::vector<int>& groups, double score);
 
   /// Convenience: adds row `row` of `table` (whose schema must contain

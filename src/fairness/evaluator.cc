@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <exception>
+#include <limits>
 #include <mutex>
 #include <optional>
 
@@ -340,8 +341,7 @@ double SumOfAbsoluteDifferences(double* x, size_t k) {
 }
 
 /// Keeps the best `n` of the pairs offered, best first by (distance desc,
-/// index_a, index_b): the order a stable sort by descending distance gives
-/// pairs offered in (i, j) order.
+/// index_a, index_b), whatever order the pairs arrive in.
 class TopPairsBuffer {
  public:
   /// Requires n >= 1.
@@ -349,19 +349,18 @@ class TopPairsBuffer {
     heap_.reserve(n_);
   }
 
-  void Offer(size_t i, size_t j, double distance) {
-    if (heap_.size() < n_) {
-      heap_.push_back({i, j, distance});
-      std::push_heap(heap_.begin(), heap_.end(), Better);
-      return;
-    }
-    // Pairs arrive in (i, j) order, so an equal distance never displaces
-    // a kept pair.
-    if (!(distance > heap_.front().distance)) return;
-    std::pop_heap(heap_.begin(), heap_.end(), Better);
-    heap_.back() = {i, j, distance};
-    std::push_heap(heap_.begin(), heap_.end(), Better);
+  /// Offers pair (a, b) in either order; it is kept as (min, max).
+  void Offer(size_t a, size_t b, double distance) {
+    // Most pairs fall short of the worst kept; only a tie needs the key.
+    if (full() && distance < worst()) return;
+    const DivergentPair pair{std::min(a, b), std::max(a, b), distance};
+    if (full() && !Better(pair, heap_.front())) return;
+    Keep(pair);
   }
+
+  /// True once `n` pairs are kept; worst() is then the distance to beat.
+  bool full() const { return heap_.size() == n_; }
+  double worst() const { return heap_.front().distance; }
 
   /// The kept pairs, best first.
   std::vector<DivergentPair> Take() && {
@@ -376,10 +375,39 @@ class TopPairsBuffer {
     return a.index_b < b.index_b;
   }
 
+  /// Adds `pair`, evicting the worst kept pair once full. Out of line, so
+  /// Offer's rejection test inlines into the scan.
+  [[gnu::noinline]] void Keep(const DivergentPair& pair) {
+    if (full()) {
+      std::pop_heap(heap_.begin(), heap_.end(), Better);
+      heap_.pop_back();
+    }
+    heap_.push_back(pair);
+    std::push_heap(heap_.begin(), heap_.end(), Better);
+  }
+
   size_t n_;
   /// Heap under Better: front() is the worst pair kept.
   std::vector<DivergentPair> heap_;
 };
+
+/// The L1 distance of every histogram's features (a bins-major
+/// FeatureMatrix) to the pivot made of their per-bin (lower) medians:
+/// rho[i] = sum_b |x_i[b] - median_b|.
+std::vector<double> PivotDistances(const std::vector<double>& features,
+                                   size_t k, size_t bins) {
+  std::vector<double> rho(k, 0.0);
+  std::vector<double> column(k);
+  const size_t mid = (k - 1) / 2;
+  for (size_t b = 0; b < bins; ++b) {
+    const double* x = &features[b * k];
+    column.assign(x, x + k);
+    std::nth_element(column.begin(), column.begin() + mid, column.end());
+    const double median = column[mid];
+    for (size_t i = 0; i < k; ++i) rho[i] += std::abs(x[i] - median);
+  }
+  return rho;
+}
 
 }  // namespace
 
@@ -456,25 +484,63 @@ StatusOr<std::vector<DivergentPair>> UnfairnessEvaluator::TopPairs(
   }
   const uint64_t start_ns = options_.trace != nullptr ? TraceNowNanos() : 0;
   const size_t bins = histograms[0].counts().size();
-  ChargeMemory(k * bins * sizeof(double));
-  const std::vector<double> pmf =
-      FeatureMatrix(histograms, PerBinL1Form::Features::kPmf);
+  ChargeMemory((k * bins + 2 * k) * sizeof(double));
+  // Rank the histograms by their L1 distance rho to a median pivot,
+  // farthest first (index ascending among equals). The triangle inequality
+  // bounds every pair by scale * (rho_p + rho_q), which falls along each
+  // row of that order, so a row stops at its first candidate bounded below
+  // the n-th best distance kept, and the scan stops at the first row whose
+  // nearest candidate is.
+  std::vector<double> rho;
+  std::vector<size_t> order(k);
+  {
+    const std::vector<double> unsorted =
+        PivotDistances(FeatureMatrix(histograms, form->features), k, bins);
+    for (size_t i = 0; i < k; ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      if (unsorted[a] != unsorted[b]) return unsorted[a] > unsorted[b];
+      return a < b;
+    });
+    rho.resize(k);
+    for (size_t p = 0; p < k; ++p) rho[p] = unsorted[order[p]];
+  }
+  // Masses in rho order, bins-major, with Emd1D's divisions.
+  std::vector<double> pmf(k * bins);
+  for (size_t p = 0; p < k; ++p) {
+    const std::vector<double>& counts = histograms[order[p]].counts();
+    const double total = histograms[order[p]].total();
+    for (size_t b = 0; b < bins; ++b) pmf[b * k + p] = counts[b] / total;
+  }
+  const double scale = form->scale;
+  // rho and the distances round differently from the same masses, by at
+  // most a few (bins + 1)^2 ulps of scale; a bound prunes only when it
+  // clears the n-th best by more than that, so every pruned pair's computed
+  // distance is strictly below one kept and the result is exact.
+  const double margin = 16.0 * static_cast<double>((bins + 1) * (bins + 1)) *
+                        std::numeric_limits<double>::epsilon() * scale;
+  auto pruned = [&](size_t p, size_t q) {
+    return top.full() && scale * (rho[p] + rho[q]) < top.worst() - margin;
+  };
   const bool cdf = form->features == PerBinL1Form::Features::kCdf;
-  // Pairs (i, j0..j0+len) side by side: the inner loops run over j, so
+  // Candidates (p, q0..q0+len) side by side: the inner loops run over q, so
   // they vectorize, while each pair still takes Emd1D's (or tv's)
-  // operations in Emd1D's order — the same double as Distance.
+  // operations in Emd1D's order — the same double as Distance, since
+  // swapping a pair only negates every difference exactly.
   constexpr size_t kBlock = 64;
   double diff[kBlock];
   double sum[kBlock];
-  for (size_t i = 0; i + 1 < k; ++i) {
+  uint64_t evaluated = 0;
+  for (size_t p = 0; p + 1 < k && !pruned(p, p + 1); ++p) {
     FAIRRANK_RETURN_NOT_OK(CheckStop());
-    for (size_t j0 = i + 1; j0 < k; j0 += kBlock) {
-      const size_t len = std::min(kBlock, k - j0);
+    for (size_t q0 = p + 1; q0 < k; q0 += kBlock) {
+      size_t len = std::min(kBlock, k - q0);
+      while (len > 0 && pruned(p, q0 + len - 1)) --len;
+      if (len == 0) break;
       std::fill(diff, diff + len, 0.0);
       std::fill(sum, sum + len, 0.0);
       for (size_t b = 0; b < bins; ++b) {
-        const double x = pmf[b * k + i];
-        const double* y = &pmf[b * k + j0];
+        const double x = pmf[b * k + p];
+        const double* y = &pmf[b * k + q0];
         if (cdf) {
           for (size_t jj = 0; jj < len; ++jj) {
             diff[jj] += x - y[jj];
@@ -484,12 +550,20 @@ StatusOr<std::vector<DivergentPair>> UnfairnessEvaluator::TopPairs(
           for (size_t jj = 0; jj < len; ++jj) sum[jj] += std::abs(x - y[jj]);
         }
       }
+      evaluated += len;
+      for (size_t jj = 0; jj < len; ++jj) sum[jj] *= scale;
+      // Skip the block when none of it reaches the worst pair kept.
+      if (top.full() && std::none_of(sum, sum + len, [&](double d) {
+            return d >= top.worst();
+          })) {
+        continue;
+      }
       for (size_t jj = 0; jj < len; ++jj) {
-        top.Offer(i, j0 + jj, sum[jj] * form->scale);
+        top.Offer(order[p], order[q0 + jj], sum[jj]);
       }
     }
   }
-  CountDivergences(num_pairs);
+  CountDivergences(evaluated);
   if (options_.trace != nullptr) {
     options_.trace->AddEvent("emd", options_.trace_parent,
                              TraceNowNanos() - start_ns);

@@ -22,15 +22,16 @@ namespace fairrank {
 /// Work counters of one evaluator: histograms built and divergences
 /// computed. The evaluator memoizes nothing, so every request is a build or
 /// a computation; the hit and byte fields are always 0 and remain only so
-/// callers that still read them compile. Divergences count pair terms
-/// covered: an average or top-pairs call over k histograms adds k(k-1)/2
-/// whether it enumerates the pairs or sums sorted per-bin features, so
-/// totals are exact at any num_threads.
+/// callers that still read them compile. Divergences count pair terms: an
+/// average over k histograms adds the k(k-1)/2 pairs it covers, whether it
+/// enumerates them or sums sorted per-bin features, and a top-pairs call
+/// adds the pairs it computed (fewer where its bound prunes), so totals are
+/// exact at any num_threads.
 struct EvalCacheStats {
   uint64_t histogram_hits = 0;     ///< Always 0.
   uint64_t histogram_misses = 0;   ///< Histograms built.
   uint64_t divergence_hits = 0;    ///< Always 0.
-  uint64_t divergence_misses = 0;  ///< Pair terms covered.
+  uint64_t divergence_misses = 0;  ///< Pair terms (see above).
   uint64_t bytes_used = 0;         ///< Always 0.
 
   uint64_t histogram_lookups() const {
@@ -190,10 +191,16 @@ class UnfairnessEvaluator {
 
   /// The `n` most divergent pairs of `histograms`, ordered by distance
   /// descending, ties by (index_a, index_b) ascending; `n` beyond the pair
-  /// count is clamped. Streams over all pairs keeping only the best `n`.
-  /// Every distance is bit-identical to Distance(histograms[index_a],
-  /// histograms[index_b]); for a per-bin L1 form the pairs are computed in
-  /// vectorizable blocks from one normalized matrix.
+  /// count is clamped. Every distance is bit-identical to
+  /// Distance(histograms[index_a], histograms[index_b]).
+  ///
+  /// For a per-bin L1 form (emd, tv) the scan is exact but pruned: pairs
+  /// are visited in order of their distance to a per-bin median pivot and
+  /// skipped once the triangle-inequality bound falls below the n-th best
+  /// distance kept, computing the rest in vectorizable blocks. Other
+  /// divergences compute every pair. The work counter grows by the pairs
+  /// actually computed; the scan is serial, so that count is the same at
+  /// any num_threads.
   StatusOr<std::vector<DivergentPair>> TopPairs(
       const std::vector<Histogram>& histograms, size_t n) const;
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -60,6 +61,36 @@ TEST(CellStoreTest, AddValidation) {
   EXPECT_FALSE(store.Add({-1, 0}, 0.5).ok());      // Negative group.
   EXPECT_EQ(store.num_observations(), 1u);
   EXPECT_EQ(store.num_cells(), 1u);
+}
+
+TEST(CellStoreTest, AddRejectsNonFiniteScores) {
+  Schema schema = MakeToySchema().value();
+  std::vector<AttributeSpec> specs = {schema.attribute(0),
+                                      schema.attribute(1)};
+  CellStore store(specs, 10, 0.0, 1.0);
+  ASSERT_TRUE(store.Add({0, 1}, 0.5).ok());
+  ASSERT_TRUE(store.Add({1, 0}, 2.0).ok());  // Clamped, but finite.
+  const std::map<std::vector<int>, StoreCell> before = store.cells();
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    // Into an existing cell and into a new one.
+    for (const std::vector<int>& groups :
+         {std::vector<int>{0, 1}, std::vector<int>{1, 1}}) {
+      Status status = store.Add(groups, bad);
+      ASSERT_FALSE(status.ok()) << bad;
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(status.message(), "score 2 is not finite");
+    }
+  }
+  EXPECT_EQ(store.num_observations(), 2u);
+  ASSERT_EQ(store.num_cells(), before.size());
+  for (const auto& [key, cell] : before) {
+    const StoreCell& now = store.cells().at(key);
+    EXPECT_EQ(now.count, cell.count);
+    EXPECT_EQ(now.histogram.counts(), cell.histogram.counts());
+    EXPECT_EQ(now.histogram.clamped_count(), cell.histogram.clamped_count());
+  }
 }
 
 TEST(CellStoreTest, MakeValidatesConfiguration) {

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "data/schema.h"
+#include "fairness/partition.h"
+#include "marketplace/worker.h"
+
 namespace fairrank {
 namespace {
 
@@ -94,6 +101,48 @@ TEST(AttributeTest, GroupLabels) {
       "YearsExperience", AttributeRole::kProtected, 0, 30, 3);
   EXPECT_EQ(exp.GroupLabel(0), "[0,10)");
   EXPECT_EQ(exp.GroupLabel(2), "[20,30]");  // Last bucket closes the range.
+}
+
+TEST(AttributeTest, PaperSchemaLabelsAreUnchanged) {
+  // Every group of the paper schema plus one index past each end, as the
+  // labels read when GroupLabel formatted bucket bounds on every call.
+  const std::vector<std::vector<std::string>> want = {
+      {"<invalid>", "Male", "Female", "<invalid>"},
+      {"<invalid>", "America", "India", "Other", "<invalid>"},
+      {"[1938,1950)", "[1950,1962)", "[1962,1974)", "[1974,1985)",
+       "[1985,1997)", "[1997,2009]", "[2009,2021)"},
+      {"<invalid>", "English", "Indian", "Other", "<invalid>"},
+      {"<invalid>", "White", "African-American", "Indian", "Other",
+       "<invalid>"},
+      {"[-6,0)", "[0,6)", "[6,12)", "[12,18)", "[18,24)", "[24,30]",
+       "[30,36)"},
+      {"[17.50,25.00)", "[25.00,32.50)", "[32.50,40.00)", "[40.00,47.50)",
+       "[47.50,55.00)", "[55.00,62.50)", "[62.50,70.00)", "[70.00,77.50)",
+       "[77.50,85.00)", "[85.00,92.50)", "[92.50,100.00]",
+       "[100.00,107.50)"},
+      {"[17.50,25.00)", "[25.00,32.50)", "[32.50,40.00)", "[40.00,47.50)",
+       "[47.50,55.00)", "[55.00,62.50)", "[62.50,70.00)", "[70.00,77.50)",
+       "[77.50,85.00)", "[85.00,92.50)", "[92.50,100.00]",
+       "[100.00,107.50)"}};
+  Schema schema = MakePaperWorkerSchema().value();
+  ASSERT_EQ(schema.num_attributes(), want.size());
+  for (size_t a = 0; a < want.size(); ++a) {
+    const AttributeSpec& spec = schema.attribute(a);
+    ASSERT_EQ(want[a].size(), static_cast<size_t>(spec.num_groups()) + 2)
+        << spec.name();
+    for (int g = -1; g <= spec.num_groups(); ++g) {
+      EXPECT_EQ(spec.GroupLabel(g), want[a][g + 1]) << spec.name() << " " << g;
+    }
+  }
+  // A copied schema carries its labels along.
+  const Schema copy = schema;
+  EXPECT_EQ(copy.attribute(2).GroupLabel(4), "[1997,2009]");
+
+  Partition merged;
+  merged.merged_paths = {{{0, 1}, {2, 4}}, {{1, 2}, {5, 0}}, {}};
+  EXPECT_EQ(PartitionLabel(schema, merged),
+            "Gender=Female & YearOfBirth=[1997,2009] | "
+            "Country=Other & YearsExperience=[0,6) | <all>");
 }
 
 TEST(AttributeTest, CategoricalGroupIndexClamps) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cfloat>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -455,10 +457,16 @@ TEST(SortedAverageTest, BitIdenticalAcrossThreadCounts) {
 TEST(SortedAverageTest, CountsPairTermsCovered) {
   Table table = MakeToyTable().value();
   UnfairnessEvaluator eval = MakeToyEvaluatorFor(&table, "emd");
+  const uint64_t num_pairs = 50u * 49u / 2u;
   ASSERT_TRUE(eval.AveragePairwise(RandomHistograms(50, 10, 1)).ok());
-  EXPECT_EQ(eval.cache_stats().divergence_misses, 50u * 49u / 2u);
+  EXPECT_EQ(eval.cache_stats().divergence_misses, num_pairs);
+  // TopPairs adds the pairs it computed, which its bound may make fewer
+  // than all of them.
   ASSERT_TRUE(eval.TopPairs(RandomHistograms(50, 10, 1), 3).ok());
-  EXPECT_EQ(eval.cache_stats().divergence_misses, 50u * 49u);
+  const uint64_t evaluated =
+      eval.cache_stats().divergence_misses - num_pairs;
+  EXPECT_GT(evaluated, 0u);
+  EXPECT_LE(evaluated, num_pairs);
 }
 
 TEST(SortedAverageTest, BadPairsFailLikeDistance) {
@@ -550,6 +558,154 @@ TEST(TopDivergentPairsTest, DistancesEqualDistanceBitForBit) {
             << divergence << " bins=" << bins << " (" << pair.index_a << ", "
             << pair.index_b << ")";
       }
+    }
+  }
+}
+
+/// Pairs computed by one TopPairs call, read off the work counter.
+uint64_t PairsEvaluated(const UnfairnessEvaluator& eval,
+                        const std::vector<Histogram>& h, size_t n,
+                        std::vector<DivergentPair>* top) {
+  const uint64_t before = eval.cache_stats().divergence_misses;
+  *top = eval.TopPairs(h, n).value();
+  return eval.cache_stats().divergence_misses - before;
+}
+
+/// Checks TopPairs(h, n) against the stable-sorted reference, bit for bit,
+/// for every n in `ns`; returns the pairs the n = ns[0] call computed.
+uint64_t ExpectMatchesReference(const UnfairnessEvaluator& eval,
+                                const std::vector<Histogram>& h,
+                                const std::vector<size_t>& ns,
+                                const std::string& label) {
+  const std::vector<DivergentPair> all =
+      ReferenceTopPairs(eval, h, h.size() * h.size());
+  uint64_t first = 0;
+  for (size_t n : ns) {
+    std::vector<DivergentPair> top;
+    const uint64_t evaluated = PairsEvaluated(eval, h, n, &top);
+    if (n == ns[0]) first = evaluated;
+    EXPECT_LE(evaluated, all.size()) << label << " n=" << n;
+    const size_t want = std::min(n, all.size());
+    EXPECT_EQ(top.size(), want) << label << " n=" << n;
+    for (size_t r = 0; r < std::min(top.size(), want); ++r) {
+      if (top[r].index_a != all[r].index_a ||
+          top[r].index_b != all[r].index_b ||
+          !SameBits(top[r].distance, all[r].distance)) {
+        ADD_FAILURE() << label << " n=" << n << " rank " << r << ": got ("
+                      << top[r].index_a << ", " << top[r].index_b << ", "
+                      << top[r].distance << "), want (" << all[r].index_a
+                      << ", " << all[r].index_b << ", " << all[r].distance
+                      << ")";
+        break;
+      }
+    }
+  }
+  return first;
+}
+
+/// `k` histograms of one to four uniform scores each, on 10 bins: about
+/// one in forty is a point mass in the first bin and as many in the last,
+/// so thousands of pairs tie exactly at the largest distance.
+std::vector<Histogram> FewPointHistograms(size_t k, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Histogram> out;
+  for (size_t i = 0; i < k; ++i) {
+    Histogram h(10, 0.0, 1.0);
+    const int64_t points = rng.UniformInt(1, 4);
+    for (int64_t s = 0; s < points; ++s) h.Add(rng.NextDouble());
+    out.push_back(std::move(h));
+  }
+  return out;
+}
+
+TEST(TopDivergentPairsTest, PrunedScanMatchesReferenceOnHeavyTies) {
+  Table table = MakeToyTable().value();
+  const std::vector<Histogram> h = FewPointHistograms(2000, 31);
+  const size_t num_pairs = 2000 * 1999 / 2;
+  for (const char* divergence : {"emd", "tv"}) {
+    UnfairnessEvaluator eval = MakeToyEvaluatorFor(&table, divergence);
+    const uint64_t evaluated =
+        ExpectMatchesReference(eval, h, {3, 1, 64, num_pairs + 1}, divergence);
+    if (std::string(divergence) == "emd") {
+      EXPECT_LT(evaluated, num_pairs / 100) << divergence;
+    } else {
+      EXPECT_LE(evaluated, num_pairs) << divergence;
+    }
+  }
+  // Without a per-bin L1 form every pair is computed.
+  UnfairnessEvaluator js = MakeToyEvaluatorFor(&table, "js");
+  std::vector<DivergentPair> top;
+  EXPECT_EQ(PairsEvaluated(js, h, 3, &top), num_pairs);
+}
+
+TEST(TopDivergentPairsTest, PrunedScanMatchesReferenceOnDenseHistograms) {
+  Table table = MakeToyTable().value();
+  const std::vector<Histogram> h = RandomHistograms(600, 10, 13);
+  const size_t num_pairs = 600 * 599 / 2;
+  for (const char* divergence : {"emd", "tv"}) {
+    UnfairnessEvaluator eval = MakeToyEvaluatorFor(&table, divergence);
+    const uint64_t evaluated =
+        ExpectMatchesReference(eval, h, {3, 1, 64, num_pairs + 1}, divergence);
+    EXPECT_LT(evaluated, num_pairs) << divergence;
+  }
+}
+
+TEST(TopDivergentPairsTest, IdenticalHistogramsPruneNothing) {
+  Table table = MakeToyTable().value();
+  const std::vector<Histogram> h(300, RandomHistograms(1, 10, 8)[0]);
+  const size_t num_pairs = 300 * 299 / 2;
+  for (const char* divergence : {"emd", "tv"}) {
+    UnfairnessEvaluator eval = MakeToyEvaluatorFor(&table, divergence);
+    const uint64_t evaluated =
+        ExpectMatchesReference(eval, h, {3, 1, 64, num_pairs + 1}, divergence);
+    EXPECT_EQ(evaluated, num_pairs) << divergence;
+  }
+}
+
+TEST(TopDivergentPairsTest, TiesFarApartInPivotOrder) {
+  // Point masses at the ends tie at the largest distance. Between them in
+  // pivot order sit many half-and-half histograms, closer to the ends'
+  // pivot than the first bin's points and farther than the last bin's, so
+  // every winning pair spans them.
+  Table table = MakeToyTable().value();
+  Histogram low(10, 0.0, 1.0);
+  low.Add(0.05);
+  Histogram high(10, 0.0, 1.0);
+  high.Add(0.95);
+  Histogram middle(10, 0.0, 1.0);
+  middle.Add(0.55);
+  Histogram split(10, 0.0, 1.0);
+  split.Add(0.05);
+  split.Add(0.95);
+  std::vector<Histogram> h;
+  for (size_t i = 0; i < 400; ++i) {
+    if (i % 97 == 5) {
+      h.push_back(low);
+    } else if (i % 89 == 7) {
+      h.push_back(high);
+    } else if (i % 2 == 0) {
+      h.push_back(middle);
+    } else {
+      h.push_back(split);
+    }
+  }
+  const size_t num_pairs = 400 * 399 / 2;
+  for (const char* divergence : {"emd", "tv"}) {
+    UnfairnessEvaluator eval = MakeToyEvaluatorFor(&table, divergence);
+    ExpectMatchesReference(eval, h, {3, 1, 64, num_pairs + 1}, divergence);
+  }
+}
+
+TEST(TopDivergentPairsTest, SmallInputs) {
+  Table table = MakeToyTable().value();
+  for (const char* divergence : {"emd", "tv"}) {
+    UnfairnessEvaluator eval = MakeToyEvaluatorFor(&table, divergence);
+    for (size_t k : {2u, 3u, 5u, 65u, 130u}) {
+      const std::vector<Histogram> h = RandomHistograms(k, 10, 40 + k);
+      const size_t num_pairs = k * (k - 1) / 2;
+      ExpectMatchesReference(eval, h, {3, 1, 64, num_pairs + 1},
+                             std::string(divergence) + " k=" +
+                                 std::to_string(k));
     }
   }
 }

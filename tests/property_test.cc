@@ -1,6 +1,7 @@
 // Property-based sweeps over randomized workloads: invariants that must hold
 // for every (algorithm, scoring function, dataset seed) combination.
 
+#include <algorithm>
 #include <cfloat>
 #include <cstring>
 #include <sstream>
@@ -244,6 +245,58 @@ TEST_P(BinCountTest, F6UnfairnessStableAcrossBinCounts) {
 
 INSTANTIATE_TEST_SUITE_P(Bins, BinCountTest,
                          ::testing::Values(5, 10, 20, 50, 100));
+
+// --- Pruned worst pairs: on near-full partitionings of generated workers
+// --- (the shape a Table-2 audit ends in), TopPairs' pivot-pruned scan
+// --- returns exactly the head of all pairs stable-sorted by distance.
+
+class PrunedTopPairsTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PrunedTopPairsTest, EqualsStableSortOfAllPairs) {
+  GeneratorOptions gen;
+  gen.num_workers = 700;
+  gen.seed = GetParam();
+  Table workers = GenerateWorkers(gen).value();
+  auto functions = MakePaperRandomFunctions();
+  const ScoringFunction& fn = *functions[GetParam() % functions.size()];
+  const std::vector<double> scores = fn.ScoreAll(workers).value();
+  for (const char* divergence : {"emd", "tv"}) {
+    EvaluatorOptions options;
+    options.divergence = divergence;
+    UnfairnessEvaluator eval =
+        UnfairnessEvaluator::Make(&workers, scores, options).value();
+    auto algo = MakeAlgorithmByName("all-attributes").value();
+    Partitioning p =
+        algo->Run(eval, workers.schema().ProtectedIndices()).value();
+    ASSERT_GE(p.size(), 300u);
+    const std::vector<Histogram> h = eval.BuildHistograms(p);
+    std::vector<DivergentPair> all;
+    for (size_t i = 0; i < h.size(); ++i) {
+      for (size_t j = i + 1; j < h.size(); ++j) {
+        all.push_back({i, j, eval.Distance(h[i], h[j]).value()});
+      }
+    }
+    std::stable_sort(all.begin(), all.end(),
+                     [](const DivergentPair& a, const DivergentPair& b) {
+                       return a.distance > b.distance;
+                     });
+    for (size_t n : {1u, 3u, 25u}) {
+      const std::vector<DivergentPair> top = eval.TopPairs(h, n).value();
+      ASSERT_EQ(top.size(), n);
+      for (size_t r = 0; r < n; ++r) {
+        EXPECT_EQ(top[r].index_a, all[r].index_a) << divergence << " " << r;
+        EXPECT_EQ(top[r].index_b, all[r].index_b) << divergence << " " << r;
+        EXPECT_EQ(std::memcmp(&top[r].distance, &all[r].distance,
+                              sizeof(double)),
+                  0)
+            << divergence << " " << r;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PrunedTopPairsTest,
+                         ::testing::Range(uint64_t{1}, uint64_t{21}));
 
 // --- Round-trip fuzz: random worker tables must survive CSV and
 // --- partitioning-spec round trips bit-for-bit (up to cell formatting).
