@@ -1,42 +1,29 @@
-// scaling_millions — the million-worker scaling trajectory, measured.
+// scaling_millions — the million-worker trajectory of the aggregate route.
 //
 // The paper audits 7,300 workers; the cell-store sufficient statistic is
 // what carries the audit past that ceiling (DESIGN.md §12). This harness
-// synthesizes 1M/5M/10M workers via marketplace/generator, then for each
-// population measures the only O(n) stage left — ingest — three ways:
+// synthesizes 1M/5M/10M workers via marketplace/generator, scores them with
+// f6, and for each population times the two stages of the aggregate route:
+// BuildCellStoreParallel (the only O(n) stage left) and the balanced
+// AuditAggregate over the cells. Both run once on 1 thread and once on
+// HardwareThreads() threads.
 //
-//   serial:      the CellStore::AddRow loop (per-row schema lookups), the
-//                path tests and small batches use.
-//   parallel 1t: BuildCellStoreParallel with one thread — the sharded fast
-//                path (precomputed columns, dense mixed-radix cells) minus
-//                any parallelism.
-//   parallel Nt: BuildCellStoreParallel with FAIRRANK_INGEST_THREADS
-//                (default 8) shards.
+// The harness dies unless the N-thread store equals the 1-thread store bit
+// for bit (same cells, counts, bin and clamped-mass doubles) and the two
+// audits agree bit for bit (unfairness, partition labels, sizes and
+// histograms): a timing of a broken equivalence would be worthless.
 //
-// For every size the sharded store is verified against serial ingest —
-// identical cell/observation counts, audit unfairness within 1e-9, same
-// partition count — and the harness dies if they diverge: a scaling number
-// for a broken equivalence would be worthless. (tests/aggregate_test.cc
-// enforces the same property bit-identically.) In `--smoke` mode it also
-// dies unless the cell audits of balanced and unbalanced on f6 and f7 equal
-// the row-level FairnessAuditor bit for bit, so the CI smoke job guards the
-// search engine rows and cells share.
+// Prints a table and writes BENCH_scaling_millions.json, whose "runs" hold
+// one entry per size and thread count. `hardware_threads` records the machine the numbers
+// came from: on a 1-thread host there is no N-thread leg.
 //
-// Prints a table and writes BENCH_scaling_millions.json with per-size rows
-// and the headline `speedup_vs_serial` (parallel Nt vs serial at the
-// largest size). `hardware_threads` records the machine the numbers came
-// from — on a single-core runner the speedup is carried by the fast path
-// alone, and thread scaling adds on top on real hardware.
-//
-// `--smoke` shrinks to one ~100k-worker size (the CI artifact job);
-// FAIRRANK_WORKERS=<n> pins a single custom size.
+// FAIRRANK_WORKERS=<n> runs a single custom size instead.
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -44,8 +31,6 @@
 #include "common/stopwatch.h"
 #include "common/str_util.h"
 #include "fairness/aggregate.h"
-#include "fairness/auditor.h"
-#include "fairness/report.h"
 #include "marketplace/biased_scoring.h"
 
 namespace fairrank {
@@ -55,244 +40,166 @@ using bench::kDataSeed;
 using bench::MakeWorkers;
 using bench::SizeFromEnv;
 
-struct SizeResult {
+/// One (size, thread count) measurement.
+struct Leg {
   size_t workers = 0;
-  double serial_rows_per_sec = 0.0;
-  double parallel_1t_rows_per_sec = 0.0;
-  double parallel_nt_rows_per_sec = 0.0;
-  double speedup_vs_serial = 0.0;
+  int threads = 1;
+  double ingest_seconds = 0.0;
   double audit_seconds = 0.0;
   double unfairness = 0.0;
   size_t num_cells = 0;
-  double max_abs_unfairness_delta = 0.0;
 };
 
-[[noreturn]] void Die(const char* what, const Status& status) {
-  std::fprintf(stderr, "scaling_millions: %s: %s\n", what,
-               status.ToString().c_str());
+[[noreturn]] void Die(const std::string& what) {
+  std::fprintf(stderr, "scaling_millions: %s\n", what.c_str());
   std::exit(1);
 }
 
-bool SameBits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
+bool SameBits(const double* a, const double* b, size_t n) {
+  return std::memcmp(a, b, n * sizeof(double)) == 0;
 }
 
-AuditOptions BalancedOptions() {
-  AuditOptions options;
-  options.algorithm = "balanced";
-  return options;
+bool SameHistogram(const Histogram& a, const Histogram& b) {
+  const double clamped_a = a.clamped_count();
+  const double clamped_b = b.clamped_count();
+  return a.counts().size() == b.counts().size() &&
+         SameBits(a.counts().data(), b.counts().data(), a.counts().size()) &&
+         SameBits(&clamped_a, &clamped_b, 1);
 }
 
-/// Dies unless every cell audit below equals the row audit of the same
-/// scores bit for bit: unfairness, partition labels and sizes in order.
-void CheckCellAuditsMatchRows(const Table& workers) {
-  FairnessAuditor auditor(&workers);
-  std::vector<std::unique_ptr<ScoringFunction>> functions;
-  functions.push_back(MakeF6(kDataSeed));
-  functions.push_back(MakeF7(kDataSeed));
-  for (const auto& fn : functions) {
-    StatusOr<std::vector<double>> scores = fn->ScoreAll(workers);
-    if (!scores.ok()) Die("scoring failed", scores.status());
-    StatusOr<CellStore> store = BuildCellStoreParallel(workers, *scores);
-    if (!store.ok()) Die("ingest failed", store.status());
-    for (const char* algorithm : {"balanced", "unbalanced"}) {
-      AuditOptions options;
-      options.algorithm = algorithm;
-      StatusOr<AuditResult> rows =
-          auditor.AuditScores(*scores, fn->Name(), options);
-      if (!rows.ok()) Die("row audit failed", rows.status());
-      StatusOr<AggregateAuditResult> cells = AuditAggregate(*store, options);
-      if (!cells.ok()) Die("cell audit failed", cells.status());
-      bool same = SameBits(rows->unfairness, cells->unfairness) &&
-                  rows->partitioning.size() == cells->partitions.size();
-      for (size_t i = 0; same && i < cells->partitions.size(); ++i) {
-        const Partition& row = rows->partitioning[i];
-        const AggregatePartition& cell = cells->partitions[i];
-        same = cell.size == row.size() &&
-               cell.label == PartitionLabel(workers.schema(), row);
-      }
-      if (!same) {
-        std::fprintf(stderr,
-                     "scaling_millions: %s cell audit of %s differs from the "
-                     "row audit (%.17g vs %.17g, %zu vs %zu partitions)\n",
-                     algorithm, fn->Name().c_str(), cells->unfairness,
-                     rows->unfairness, cells->partitions.size(),
-                     rows->partitioning.size());
-        std::exit(1);
-      }
-      std::printf("%s/%s: cell audit == row audit (%.6f, %zu partitions)\n",
-                  fn->Name().c_str(), algorithm, cells->unfairness,
-                  cells->partitions.size());
+bool SameStore(const CellStore& a, const CellStore& b) {
+  if (a.num_cells() != b.num_cells() ||
+      a.num_observations() != b.num_observations()) {
+    return false;
+  }
+  auto b_it = b.cells().begin();
+  for (const auto& [key, cell] : a.cells()) {
+    if (b_it->first != key || b_it->second.count != cell.count ||
+        !SameHistogram(b_it->second.histogram, cell.histogram)) {
+      return false;
+    }
+    ++b_it;
+  }
+  return true;
+}
+
+bool SameAudit(const AggregateAuditResult& a, const AggregateAuditResult& b) {
+  if (!SameBits(&a.unfairness, &b.unfairness, 1) ||
+      a.partitions.size() != b.partitions.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.partitions.size(); ++i) {
+    const AggregatePartition& pa = a.partitions[i];
+    const AggregatePartition& pb = b.partitions[i];
+    if (pa.label != pb.label || pa.size != pb.size ||
+        !SameHistogram(pa.histogram, pb.histogram)) {
+      return false;
     }
   }
+  return true;
 }
 
-SizeResult RunOneSize(size_t n, int threads, bool check_rows) {
-  SizeResult out;
-  out.workers = n;
+/// Times ingest and audit of every thread count on one population and
+/// gates the later legs against the first.
+std::vector<Leg> RunOneSize(size_t n, const std::vector<int>& thread_counts) {
   std::printf("generating %zu workers (seed %llu)...\n", n,
               static_cast<unsigned long long>(kDataSeed));
   Table workers = MakeWorkers(n);
-  if (check_rows) CheckCellAuditsMatchRows(workers);
-  auto f6 = MakeF6(kDataSeed);
-  StatusOr<std::vector<double>> scores = f6->ScoreAll(workers);
-  if (!scores.ok()) Die("scoring failed", scores.status());
+  StatusOr<std::vector<double>> scores = MakeF6(kDataSeed)->ScoreAll(workers);
+  if (!scores.ok()) Die("scoring failed: " + scores.status().ToString());
 
-  // Serial baseline: the AddRow loop over the validated store.
-  StatusOr<CellStore> serial = CellStore::Make(
-      [&workers] {
-        std::vector<AttributeSpec> specs;
-        for (size_t i : workers.schema().ProtectedIndices()) {
-          specs.push_back(workers.schema().attribute(i));
-        }
-        return specs;
-      }(),
-      10, 0.0, 1.0);
-  if (!serial.ok()) Die("store construction failed", serial.status());
-  Stopwatch serial_watch;
-  for (size_t row = 0; row < workers.num_rows(); ++row) {
-    Status added = serial->AddRow(workers, row, (*scores)[row]);
-    if (!added.ok()) Die("serial ingest failed", added);
+  AuditOptions balanced;
+  balanced.algorithm = "balanced";
+  std::vector<Leg> legs;
+  std::vector<CellStore> stores;
+  std::vector<AggregateAuditResult> audits;
+  for (int threads : thread_counts) {
+    Leg leg;
+    leg.workers = n;
+    leg.threads = threads;
+    CellStoreIngestOptions ingest;
+    ingest.num_threads = threads;
+    Stopwatch ingest_watch;
+    StatusOr<CellStore> store =
+        BuildCellStoreParallel(workers, *scores, ingest);
+    leg.ingest_seconds = ingest_watch.ElapsedSeconds();
+    if (!store.ok()) Die("ingest failed: " + store.status().ToString());
+    Stopwatch audit_watch;
+    StatusOr<AggregateAuditResult> audit = AuditAggregate(*store, balanced);
+    leg.audit_seconds = audit_watch.ElapsedSeconds();
+    if (!audit.ok()) Die("audit failed: " + audit.status().ToString());
+    leg.unfairness = audit->unfairness;
+    leg.num_cells = store->num_cells();
+    if (!stores.empty() && !SameStore(*store, stores.front())) {
+      Die(std::to_string(threads) + "-thread store differs from the " +
+          std::to_string(thread_counts.front()) + "-thread store");
+    }
+    if (!audits.empty() && !SameAudit(*audit, audits.front())) {
+      Die(std::to_string(threads) + "-thread audit differs from the " +
+          std::to_string(thread_counts.front()) + "-thread audit");
+    }
+    stores.push_back(std::move(store).value());
+    audits.push_back(std::move(audit).value());
+    legs.push_back(leg);
   }
-  double serial_seconds = serial_watch.ElapsedSeconds();
-  out.serial_rows_per_sec =
-      serial_seconds > 0 ? static_cast<double>(n) / serial_seconds : 0;
+  return legs;
+}
 
-  // Sharded ingest, 1 thread then N threads.
-  CellStoreIngestOptions one_thread;
-  one_thread.num_threads = 1;
-  Stopwatch one_watch;
-  StatusOr<CellStore> parallel_1t =
-      BuildCellStoreParallel(workers, *scores, one_thread);
-  double one_seconds = one_watch.ElapsedSeconds();
-  if (!parallel_1t.ok()) Die("1-thread ingest failed", parallel_1t.status());
-  out.parallel_1t_rows_per_sec =
-      one_seconds > 0 ? static_cast<double>(n) / one_seconds : 0;
-
-  CellStoreIngestOptions n_threads;
-  n_threads.num_threads = threads;
-  Stopwatch n_watch;
-  StatusOr<CellStore> parallel_nt =
-      BuildCellStoreParallel(workers, *scores, n_threads);
-  double n_seconds = n_watch.ElapsedSeconds();
-  if (!parallel_nt.ok()) Die("N-thread ingest failed", parallel_nt.status());
-  out.parallel_nt_rows_per_sec =
-      n_seconds > 0 ? static_cast<double>(n) / n_seconds : 0;
-  out.speedup_vs_serial = n_seconds > 0 ? serial_seconds / n_seconds : 0;
-
-  // Equivalence gate: the numbers are only worth printing if the sharded
-  // store reproduces the serial audit.
-  if (parallel_nt->num_cells() != serial->num_cells() ||
-      parallel_nt->num_observations() != serial->num_observations()) {
-    std::fprintf(stderr,
-                 "scaling_millions: sharded store diverged from serial "
-                 "(%zu/%zu cells, %zu/%zu observations)\n",
-                 parallel_nt->num_cells(), serial->num_cells(),
-                 parallel_nt->num_observations(), serial->num_observations());
-    std::exit(1);
-  }
-  StatusOr<AggregateAuditResult> serial_audit =
-      AuditAggregate(*serial, BalancedOptions());
-  if (!serial_audit.ok()) Die("serial audit failed", serial_audit.status());
-  Stopwatch audit_watch;
-  StatusOr<AggregateAuditResult> audit =
-      AuditAggregate(*parallel_nt, BalancedOptions());
-  out.audit_seconds = audit_watch.ElapsedSeconds();
-  if (!audit.ok()) Die("audit failed", audit.status());
-  out.max_abs_unfairness_delta =
-      std::fabs(audit->unfairness - serial_audit->unfairness);
-  if (out.max_abs_unfairness_delta > 1e-9 ||
-      audit->partitions.size() != serial_audit->partitions.size()) {
-    std::fprintf(stderr,
-                 "scaling_millions: sharded audit diverged from serial "
-                 "(delta %.3g, %zu vs %zu partitions)\n",
-                 out.max_abs_unfairness_delta, audit->partitions.size(),
-                 serial_audit->partitions.size());
-    std::exit(1);
-  }
-  out.unfairness = audit->unfairness;
-  out.num_cells = parallel_nt->num_cells();
-  return out;
+double RowsPerSecond(const Leg& leg) {
+  return leg.ingest_seconds > 0
+             ? static_cast<double>(leg.workers) / leg.ingest_seconds
+             : 0;
 }
 
 }  // namespace
 }  // namespace fairrank
 
-int main(int argc, char** argv) {
+int main() {
   using namespace fairrank;
 
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
-  const int threads =
-      static_cast<int>(SizeFromEnv("FAIRRANK_INGEST_THREADS", 8));
-  std::vector<size_t> sizes;
+  const int hardware_threads = HardwareThreads();
+  std::vector<int> thread_counts = {1};
+  if (hardware_threads > 1) thread_counts.push_back(hardware_threads);
+  std::vector<size_t> sizes = {1000000, 5000000, 10000000};
   const size_t override_n = SizeFromEnv("FAIRRANK_WORKERS", 0);
-  if (override_n > 0) {
-    sizes = {override_n};
-  } else if (smoke) {
-    sizes = {100000};
-  } else {
-    sizes = {1000000, 5000000, 10000000};
-  }
+  if (override_n > 0) sizes = {override_n};
 
-  std::printf("ingest_threads=%d hardware_threads=%d%s\n", threads,
-              HardwareThreads(), smoke ? " (smoke)" : "");
-  std::vector<SizeResult> results;
-  for (size_t n : sizes) results.push_back(RunOneSize(n, threads, smoke));
+  std::printf("hardware_threads=%d\n", hardware_threads);
+  std::vector<Leg> legs;
+  for (size_t n : sizes) {
+    for (const Leg& leg : RunOneSize(n, thread_counts)) legs.push_back(leg);
+  }
 
   TextTable table;
-  table.SetHeader({"workers", "serial rows/s", "1t rows/s",
-                   std::to_string(threads) + "t rows/s", "speedup",
-                   "audit s", "cells"});
-  for (const SizeResult& r : results) {
-    table.AddRow({std::to_string(r.workers),
-                  FormatDouble(r.serial_rows_per_sec, 0),
-                  FormatDouble(r.parallel_1t_rows_per_sec, 0),
-                  FormatDouble(r.parallel_nt_rows_per_sec, 0),
-                  FormatDouble(r.speedup_vs_serial, 2),
-                  FormatDouble(r.audit_seconds, 3),
-                  std::to_string(r.num_cells)});
-  }
-  std::printf("%s", table.ToString().c_str());
-
-  std::string json = "{";
-  json += "\"bench\":\"scaling_millions\",";
-  json += "\"smoke\":";
-  json += smoke ? "true" : "false";
-  json += ",";
-  json += "\"ingest_threads\":" + std::to_string(threads) + ",";
-  json += "\"hardware_threads\":" + std::to_string(HardwareThreads()) + ",";
-  json += "\"speedup_vs_serial\":" +
-          FormatDouble(results.back().speedup_vs_serial, 2) + ",";
-  json += "\"sizes\":[";
-  for (size_t i = 0; i < results.size(); ++i) {
-    const SizeResult& r = results[i];
+  table.SetHeader({"workers", "threads", "ingest rows/s", "ingest s",
+                   "audit s", "cells", "unfairness"});
+  std::string json = "{\"bench\":\"scaling_millions\",";
+  json += "\"hardware_threads\":" + std::to_string(hardware_threads) + ",";
+  json += "\"runs\":[";
+  for (size_t i = 0; i < legs.size(); ++i) {
+    const Leg& leg = legs[i];
+    table.AddRow({std::to_string(leg.workers), std::to_string(leg.threads),
+                  FormatDouble(RowsPerSecond(leg), 0),
+                  FormatDouble(leg.ingest_seconds, 3),
+                  FormatDouble(leg.audit_seconds, 4),
+                  std::to_string(leg.num_cells),
+                  FormatDouble(leg.unfairness, 6)});
     if (i > 0) json += ",";
-    json += "{\"workers\":" + std::to_string(r.workers) + ",";
-    json += "\"serial_rows_per_sec\":" +
-            FormatDouble(r.serial_rows_per_sec, 0) + ",";
-    json += "\"parallel_1t_rows_per_sec\":" +
-            FormatDouble(r.parallel_1t_rows_per_sec, 0) + ",";
-    json += "\"parallel_rows_per_sec\":" +
-            FormatDouble(r.parallel_nt_rows_per_sec, 0) + ",";
-    json += "\"speedup_vs_serial\":" +
-            FormatDouble(r.speedup_vs_serial, 2) + ",";
-    json += "\"audit_seconds\":" + FormatDouble(r.audit_seconds, 4) + ",";
-    json += "\"unfairness\":" + FormatDouble(r.unfairness, 6) + ",";
-    json += "\"num_cells\":" + std::to_string(r.num_cells) + ",";
-    json += "\"max_abs_unfairness_delta\":" +
-            FormatDouble(r.max_abs_unfairness_delta, 12) + "}";
+    json += "{\"workers\":" + std::to_string(leg.workers) + ",";
+    json += "\"threads\":" + std::to_string(leg.threads) + ",";
+    json += "\"ingest_rows_per_sec\":" + FormatDouble(RowsPerSecond(leg), 0) +
+            ",";
+    json += "\"ingest_seconds\":" + FormatDouble(leg.ingest_seconds, 4) + ",";
+    json += "\"audit_seconds\":" + FormatDouble(leg.audit_seconds, 4) + ",";
+    json += "\"num_cells\":" + std::to_string(leg.num_cells) + ",";
+    json += "\"unfairness\":" + FormatDouble(leg.unfairness, 6) + "}";
   }
   json += "]}";
+  std::printf("%s", table.ToString().c_str());
 
   const char* out_path = "BENCH_scaling_millions.json";
   std::FILE* out = std::fopen(out_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "scaling_millions: cannot write %s\n", out_path);
-    return 1;
-  }
+  if (out == nullptr) Die(std::string("cannot write ") + out_path);
   std::fprintf(out, "%s\n", json.c_str());
   std::fclose(out);
   std::printf("wrote %s\n", out_path);

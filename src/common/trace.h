@@ -20,10 +20,11 @@ uint64_t TraceNowNanos();
 /// thread (the pairwise-distance pool included) under one internal mutex.
 ///
 /// Cost model: a null TraceContext* is tracing compiled in with sampling off
-/// — instrumented code does a single pointer check and nothing else (the
-/// bench/trace_overhead harness keeps this ≤ 2% on the table2 path). A
-/// constructed-but-unsampled context (`sampled = false`) additionally pays
-/// the sampled() check. Only a sampled context takes the mutex.
+/// — instrumented code does a single pointer check and nothing else. A
+/// constructed-but-unsampled context (`sampled = false`) pays one sampled()
+/// check per audit, which then runs the null path (auditor_test pins that
+/// it records nothing and changes no result). Only a sampled context takes
+/// the mutex; the ledger's trace.overhead_pct measures what it costs.
 ///
 /// Storage is bounded: at most `max_spans` spans are kept; later spans are
 /// counted as dropped but their durations still feed the per-name totals

@@ -150,11 +150,41 @@ std::string AttributeSpec::GroupLabel(int group_index) const {
   return FormatBucketLabel(group_index);
 }
 
+double AttributeSpec::FirstIntegerOfBucket(int group_index) const {
+  const double width = (max_ - min_) / num_buckets_;
+  double value = std::ceil(min_ + group_index * width);
+  // Past 2^53 doubles skip integers, and an empty or inverted range (which
+  // Validate rejects) has no buckets to fit; keep the edge's ceiling there.
+  if (!(width > 0.0) || !(std::fabs(value) < 0x1p53)) return value;
+  auto index = [this, width](double v) {
+    return std::floor((v - min_) / width);
+  };
+  // The ceiling is off by at most one integer from rounding in either
+  // direction.
+  if (index(value - 1) >= group_index) {
+    --value;
+  } else if (index(value) < group_index) {
+    ++value;
+  }
+  return value;
+}
+
 std::string AttributeSpec::FormatBucketLabel(int group_index) const {
-  double width = (max_ - min_) / num_buckets_;
-  double lo = min_ + group_index * width;
-  double hi = lo + width;
-  const int precision = (kind_ == AttributeKind::kInteger) ? 0 : 2;
+  double lo;
+  double hi;
+  int precision;
+  if (kind_ == AttributeKind::kInteger) {
+    lo = FirstIntegerOfBucket(group_index);
+    hi = (group_index == num_buckets_ - 1)
+             ? max_
+             : FirstIntegerOfBucket(group_index + 1);
+    precision = 0;
+  } else {
+    double width = (max_ - min_) / num_buckets_;
+    lo = min_ + group_index * width;
+    hi = lo + width;
+    precision = 2;
+  }
   // Built with append rather than chained operator+ — the temporary chain
   // trips GCC 12's -Wrestrict false positive (PR105651) under -Werror.
   std::string label = "[";

@@ -87,14 +87,21 @@ class AttributeSpec {
   int GroupIndexOfReal(double value) const;
 
   /// Human-readable label of a group: the category name, or the bucket
-  /// interval like "[1950,1962)" (the last bucket closes with "]"). Bucket
+  /// interval like "[1950,1962)" (the last bucket closes with "]"). Integer
+  /// labels name exactly the integers GroupIndexOfInt maps there. Bucket
   /// labels are formatted once, when the spec is built.
   std::string GroupLabel(int group_index) const;
 
  private:
   AttributeSpec() = default;
 
+  /// Integer only: the first integer whose unclamped GroupIndexOfReal floor
+  /// reaches `group_index`, so bucket g holds exactly the integers in
+  /// [FirstIntegerOfBucket(g), FirstIntegerOfBucket(g + 1)).
+  double FirstIntegerOfBucket(int group_index) const;
   /// Numeric only: formats bucket `group_index`'s interval, in range or not.
+  /// Integer bounds are the buckets' first integers, the last bucket closed
+  /// at max; real bounds are the equal-width edges.
   std::string FormatBucketLabel(int group_index) const;
   /// Numeric only: fills bucket_labels_ for every bucket.
   void FormatBucketLabels();

@@ -606,6 +606,40 @@ StatusOr<AggregateAuditResult> AuditAggregate(const CellStore& store,
   return result;
 }
 
+StatusOr<AggregateAudit> RunAggregateAudit(const Table& table,
+                                           const ScoringFunction& fn,
+                                           const AuditOptions& options) {
+  FAIRRANK_ASSIGN_OR_RETURN(std::vector<double> scores, fn.ScoreAll(table));
+
+  CellStoreIngestOptions ingest;
+  ingest.num_bins = options.evaluator.num_bins;
+  ingest.score_lo = options.evaluator.score_lo;
+  ingest.score_hi = options.evaluator.score_hi;
+  ingest.num_threads = options.evaluator.num_threads <= 0
+                           ? HardwareThreads()
+                           : options.evaluator.num_threads;
+  ingest.protected_attributes = options.protected_attributes;
+
+  ResourceBudget budget = options.limits.MakeBudget();
+  ExecutionContext context = options.limits.MakeContext(&budget);
+
+  AggregateReportInfo info;
+  info.scoring_function = fn.Name();
+  info.divergence = options.evaluator.divergence;
+  info.ingest_threads = ingest.num_threads;
+
+  Stopwatch ingest_timer;
+  FAIRRANK_ASSIGN_OR_RETURN(
+      CellStore store, BuildCellStoreParallel(table, scores, ingest, context));
+  info.ingest_seconds = ingest_timer.ElapsedSeconds();
+
+  Stopwatch audit_timer;
+  FAIRRANK_ASSIGN_OR_RETURN(AggregateAuditResult result,
+                            AuditAggregate(store, options, context));
+  info.audit_seconds = audit_timer.ElapsedSeconds();
+  return AggregateAudit{std::move(store), std::move(result), std::move(info)};
+}
+
 StatusOr<AggregateAuditResult> AuditAggregateBalanced(
     const CellStore& store, const std::string& divergence,
     const ExecutionContext& context) {

@@ -184,7 +184,7 @@ struct AggregateAuditResult {
 /// evaluator is bounded by `context` and the reporting one is not.
 ///
 /// The store fixes the bin configuration; `options.evaluator` supplies the
-/// divergence, sibling comparison, threads and out-of-range policy.
+/// divergence, sibling comparison and threads.
 /// `options.protected_attributes` restricts the search to the named specs
 /// (empty = all). `options.limits` is not read: `context` carries the
 /// bounds. Partition sizes come from the cells' exact counts and are
@@ -192,6 +192,35 @@ struct AggregateAuditResult {
 StatusOr<AggregateAuditResult> AuditAggregate(
     const CellStore& store, const AuditOptions& options,
     const ExecutionContext& context = ExecutionContext::Unbounded());
+
+/// Run metadata the aggregate formatters render alongside the result (the
+/// CellStore itself carries no timing or provenance).
+struct AggregateReportInfo {
+  std::string scoring_function;
+  std::string divergence = "emd";
+  int ingest_threads = 1;
+  double ingest_seconds = 0.0;
+  double audit_seconds = 0.0;
+};
+
+/// One aggregate audit end to end: the cell store, its audit, and the run
+/// metadata a report prints next to them.
+struct AggregateAudit {
+  CellStore store;
+  AggregateAuditResult result;
+  AggregateReportInfo info;
+};
+
+/// The aggregate route of `fairaudit audit --aggregate` and
+/// `/audit?aggregate=1`: scores every row of `table` with `fn`, ingests the
+/// scores with BuildCellStoreParallel (the evaluator's bin configuration,
+/// `options.evaluator.num_threads` shards with <= 0 = HardwareThreads(),
+/// `options.protected_attributes`) and runs AuditAggregate on the store.
+/// Ingest and audit share one budget and context built from
+/// `options.limits`.
+StatusOr<AggregateAudit> RunAggregateAudit(const Table& table,
+                                           const ScoringFunction& fn,
+                                           const AuditOptions& options);
 
 /// AuditAggregate with the balanced algorithm and `divergence`, for callers
 /// that predate it.

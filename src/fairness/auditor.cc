@@ -90,8 +90,8 @@ StatusOr<AuditResult> FairnessAuditor::AuditScores(
   // Head-based sampling decides here, once: an attached-but-unsampled
   // context degrades the whole pipeline to the identical null fast path,
   // so "tracing compiled in, sampling off" costs one boolean per audit —
-  // not a timestamp per EMD (the <= 2% contract bench/trace_overhead.cc
-  // enforces).
+  // not a timestamp per EMD (auditor_test pins that such an audit records
+  // nothing and matches an untraced one bit for bit).
   TraceContext* trace = options.limits.trace;
   if (trace != nullptr && !trace->sampled()) trace = nullptr;
   ScopedSpan audit_span(trace, "audit");

@@ -86,7 +86,7 @@ struct AuditResult {
   /// the search and reporting evaluators of this audit.
   EvalCacheStats cache;
   /// Scores outside the evaluator's [score_lo, score_hi] range, folded into
-  /// edge bins under OutOfRangePolicy::kCount. Reports warn when nonzero.
+  /// edge bins. Reports warn when nonzero.
   uint64_t out_of_range_scores = 0;
 };
 

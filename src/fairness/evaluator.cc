@@ -86,13 +86,6 @@ StatusOr<UnfairnessEvaluator> UnfairnessEvaluator::Make(
     }
     if (scores[i] < options.score_lo || scores[i] > options.score_hi) {
       ++num_out_of_range;
-      if (options.out_of_range == OutOfRangePolicy::kReject) {
-        return Status::InvalidArgument(
-            "score " + std::to_string(i) + " (" + std::to_string(scores[i]) +
-            ") is outside [" + std::to_string(options.score_lo) + ", " +
-            std::to_string(options.score_hi) +
-            "] and out_of_range is kReject");
-      }
     }
   }
   FAIRRANK_ASSIGN_OR_RETURN(std::unique_ptr<Divergence> divergence,
@@ -115,11 +108,6 @@ StatusOr<UnfairnessEvaluator> UnfairnessEvaluator::MakeFromHistograms(
           " does not match the evaluator's bin configuration");
     }
     clamped += row_histograms[i].clamped_count();
-  }
-  if (clamped > 0.0 && options.out_of_range == OutOfRangePolicy::kReject) {
-    return Status::InvalidArgument(
-        "histograms hold scores outside the range and out_of_range is "
-        "kReject");
   }
   FAIRRANK_ASSIGN_OR_RETURN(std::unique_ptr<Divergence> divergence,
                             MakeDivergenceByName(options.divergence));

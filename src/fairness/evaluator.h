@@ -66,18 +66,6 @@ enum class SiblingComparison {
   kAllPairs,
 };
 
-/// What to do when scores fall outside [score_lo, score_hi]. Histograms
-/// clamp such values into the edge bins; before this policy existed the
-/// clamping was silent and quietly distorted the edge bins.
-enum class OutOfRangePolicy {
-  /// Count the offenders and surface the count via
-  /// UnfairnessEvaluator::num_out_of_range() (reports warn on it). Default:
-  /// repaired or generated score vectors may legitimately graze the range.
-  kCount,
-  /// Reject the score vector in Make with InvalidArgument.
-  kReject,
-};
-
 /// Configuration of the unfairness measure.
 struct EvaluatorOptions {
   /// Histogram bin count over the score range ("equal bins over the range
@@ -105,8 +93,6 @@ struct EvaluatorOptions {
   /// Always null (EvaluatorCache has no definition); kept so callers that
   /// still test it compile.
   std::shared_ptr<EvaluatorCache> shared_cache;
-  /// Policy for scores outside [score_lo, score_hi]; see OutOfRangePolicy.
-  OutOfRangePolicy out_of_range = OutOfRangePolicy::kCount;
   /// Borrowed per-request trace (see common/trace.h). When set, every
   /// histogram build records a "histogram" span under `trace_parent`, and
   /// every divergence computation an "emd" span — one per call, not per
@@ -228,8 +214,8 @@ class UnfairnessEvaluator {
   /// Work so far: histograms built and divergences computed.
   EvalCacheStats cache_stats() const;
 
-  /// Number of input scores outside [score_lo, score_hi] (0 under kReject,
-  /// which refuses such inputs). Reports surface a warning when nonzero.
+  /// Number of input scores outside [score_lo, score_hi]; they are clamped
+  /// into the edge bins. Reports surface a warning when nonzero.
   size_t num_out_of_range() const { return num_out_of_range_; }
 
   const Table& table() const { return *table_; }

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/flags.h"
-#include "common/stopwatch.h"
 #include "common/str_util.h"
 #include "fairness/aggregate.h"
 #include "fairness/auditor.h"
@@ -81,47 +80,6 @@ std::vector<std::string> KnownAuditParams() {
   return known;
 }
 
-/// `/audit?aggregate=1`: the cell-store route — sharded ingest (bounded by
-/// the composed request limits, one shard per request thread) followed by
-/// the requested algorithm over the cells. Served out of the same handler so
-/// admission control, tracing, and the response cache (the canonicalizer
-/// folds `aggregate` into the key by iterating FlagNames(); truncated
-/// answers are never cached) treat it like any audit.
-StatusOr<HandlerResult> RunAuditAggregate(const Table& table,
-                                          const ScoringFunction& fn,
-                                          const AuditOptions& options) {
-  FAIRRANK_ASSIGN_OR_RETURN(std::vector<double> scores, fn.ScoreAll(table));
-
-  CellStoreIngestOptions ingest;
-  ingest.num_bins = options.evaluator.num_bins;
-  ingest.score_lo = options.evaluator.score_lo;
-  ingest.score_hi = options.evaluator.score_hi;
-  ingest.num_threads = options.evaluator.num_threads;
-  ingest.protected_attributes = options.protected_attributes;
-
-  ResourceBudget budget = options.limits.MakeBudget();
-  ExecutionContext context = options.limits.MakeContext(&budget);
-
-  Stopwatch ingest_timer;
-  FAIRRANK_ASSIGN_OR_RETURN(
-      CellStore store, BuildCellStoreParallel(table, scores, ingest, context));
-  AggregateReportInfo info;
-  info.scoring_function = fn.Name();
-  info.divergence = options.evaluator.divergence;
-  info.ingest_threads = ingest.num_threads;
-  info.ingest_seconds = ingest_timer.ElapsedSeconds();
-
-  Stopwatch audit_timer;
-  FAIRRANK_ASSIGN_OR_RETURN(AggregateAuditResult result,
-                            AuditAggregate(store, options, context));
-  info.audit_seconds = audit_timer.ElapsedSeconds();
-
-  HandlerResult out;
-  out.response.body = FormatAggregateAuditJson(store, result, info);
-  out.truncated = result.truncated;
-  return out;
-}
-
 std::vector<std::string> KnownSuiteParams() {
   std::vector<std::string> known = AuditOptionFlagNames();
   known.push_back("functions");
@@ -148,11 +106,24 @@ StatusOr<HandlerResult> RunAudit(const ServerEnv& env,
       ClampThreads(options.evaluator.num_threads, env.max_request_threads);
 
   FAIRRANK_ASSIGN_OR_RETURN(bool aggregate, flags.GetBool("aggregate", false));
-  if (aggregate) return RunAuditAggregate(*table, *fn, options);
+  HandlerResult out;
+  if (aggregate) {
+    // `/audit?aggregate=1`: the cell-store route, one ingest shard per
+    // request thread, bounded by the composed request limits. Served out of
+    // this handler so admission control, tracing, and the response cache
+    // (the canonicalizer folds `aggregate` into the key by iterating
+    // FlagNames(); truncated answers are never cached) treat it like any
+    // audit.
+    FAIRRANK_ASSIGN_OR_RETURN(AggregateAudit audit,
+                              RunAggregateAudit(*table, *fn, options));
+    out.response.body =
+        FormatAggregateAuditJson(audit.store, audit.result, audit.info);
+    out.truncated = audit.result.truncated;
+    return out;
+  }
 
   FairnessAuditor auditor(table);
   FAIRRANK_ASSIGN_OR_RETURN(AuditResult result, auditor.Audit(*fn, options));
-  HandlerResult out;
   out.response.body = FormatAuditJson(result);
   out.truncated = result.truncated;
   return out;

@@ -14,6 +14,7 @@
 #include "common/budget.h"
 #include "common/deadline.h"
 #include "common/fault_injection.h"
+#include "common/rng.h"
 #include "fairness/auditor.h"
 #include "fairness/registry.h"
 #include "marketplace/biased_scoring.h"
@@ -195,6 +196,27 @@ TEST(CellStoreTest, CellsDeduplicate) {
   EXPECT_EQ(store.num_observations(), 3u);
 }
 
+/// Expects two stores to hold the same cells with bit-identical histograms.
+void ExpectSameCellsBitForBit(const CellStore& got, const CellStore& want) {
+  ASSERT_EQ(got.num_cells(), want.num_cells());
+  ASSERT_EQ(got.num_observations(), want.num_observations());
+  auto got_it = got.cells().begin();
+  for (const auto& [key, cell] : want.cells()) {
+    ASSERT_EQ(got_it->first, key);
+    EXPECT_EQ(got_it->second.count, cell.count);
+    const Histogram& a = got_it->second.histogram;
+    const Histogram& b = cell.histogram;
+    const double clamped_a = a.clamped_count();
+    const double clamped_b = b.clamped_count();
+    EXPECT_EQ(std::memcmp(&clamped_a, &clamped_b, sizeof(double)), 0);
+    ASSERT_EQ(a.counts().size(), b.counts().size());
+    EXPECT_EQ(std::memcmp(a.counts().data(), b.counts().data(),
+                          a.counts().size() * sizeof(double)),
+              0);
+    ++got_it;
+  }
+}
+
 TEST(BuildCellStoreParallelTest, ShardedIngestMatchesSerialBitIdentical) {
   // The acceptance property: sharded parallel ingest must be *bit-identical*
   // to serial AddRow ingest — same cells, same exact counts, identical bin
@@ -212,28 +234,12 @@ TEST(BuildCellStoreParallelTest, ShardedIngestMatchesSerialBitIdentical) {
   AggregateAuditResult serial_audit = AuditBalanced(serial);
 
   for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE(threads);
     CellStoreIngestOptions options;
     options.num_threads = threads;
     CellStore sharded =
         BuildCellStoreParallel(workers, scores, options).value();
-
-    ASSERT_EQ(sharded.num_cells(), serial.num_cells()) << threads;
-    ASSERT_EQ(sharded.num_observations(), serial.num_observations())
-        << threads;
-    auto sharded_it = sharded.cells().begin();
-    for (const auto& [key, cell] : serial.cells()) {
-      ASSERT_EQ(sharded_it->first, key) << threads;
-      EXPECT_EQ(sharded_it->second.count, cell.count) << threads;
-      EXPECT_EQ(sharded_it->second.histogram.clamped_count(),
-                cell.histogram.clamped_count())
-          << threads;
-      for (int b = 0; b < cell.histogram.num_bins(); ++b) {
-        EXPECT_EQ(sharded_it->second.histogram.counts()[b],
-                  cell.histogram.counts()[b])
-            << threads << " bin " << b;
-      }
-      ++sharded_it;
-    }
+    ExpectSameCellsBitForBit(sharded, serial);
 
     AggregateAuditResult audit = AuditBalanced(sharded);
     EXPECT_EQ(audit.unfairness, serial_audit.unfairness) << threads;
@@ -245,6 +251,59 @@ TEST(BuildCellStoreParallelTest, ShardedIngestMatchesSerialBitIdentical) {
           << threads << " partition " << i;
     }
   }
+}
+
+TEST(BuildCellStoreParallelTest, SparseFallbackMatchesSerialAndHonorsBudget) {
+  // Three 50-group attributes span 125,000 cells, past the 65,536-cell cap
+  // on dense shard arrays, so every shard accumulates into a private
+  // CellStore map and charges memory as its cells appear.
+  std::vector<std::string> groups;
+  for (int g = 0; g < 50; ++g) groups.push_back(std::to_string(g));
+  Schema schema;
+  for (const char* name : {"A", "B", "C"}) {
+    ASSERT_TRUE(schema
+                    .AddAttribute(AttributeSpec::Categorical(
+                        name, AttributeRole::kProtected, groups))
+                    .ok());
+  }
+  Table table(schema);
+  CellStore serial(ProtectedSpecs(table), 10, 0.0, 1.0);
+  std::vector<double> scores;
+  Rng rng(2024);
+  for (size_t row = 0; row < 20000; ++row) {
+    std::vector<int> key;
+    std::vector<Cell> cells;
+    for (int a = 0; a < 3; ++a) {
+      key.push_back(static_cast<int>(rng.UniformInt(0, 49)));
+      cells.emplace_back(static_cast<int64_t>(key.back()));
+    }
+    ASSERT_TRUE(table.AppendRow(cells).ok());
+    // A tenth of the scores fall outside [0, 1] and clamp into edge bins.
+    scores.push_back(rng.UniformDouble(-0.05, 1.05));
+    ASSERT_TRUE(serial.Add(key, scores.back()).ok());
+  }
+
+  for (int threads : {1, 3}) {
+    SCOPED_TRACE(threads);
+    CellStoreIngestOptions options;
+    options.num_threads = threads;
+    CellStore sharded = BuildCellStoreParallel(table, scores, options).value();
+    ExpectSameCellsBitForBit(sharded, serial);
+  }
+
+  // ~18,000 cells at ~176 bytes each overrun a 1 MiB budget mid-ingest.
+  ExecutionLimits limits;
+  limits.max_memory_mb = 1;
+  ResourceBudget budget = limits.MakeBudget();
+  ExecutionContext context = limits.MakeContext(&budget);
+  CellStoreIngestOptions options;
+  options.num_threads = 3;
+  StatusOr<CellStore> strapped =
+      BuildCellStoreParallel(table, scores, options, context);
+  ASSERT_FALSE(strapped.ok());
+  EXPECT_STREQ(
+      ExhaustionReasonToString(ExhaustionReasonFromStatus(strapped.status())),
+      "memory-budget");
 }
 
 TEST(BuildCellStoreParallelTest, ValidatesInput) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,8 @@ TEST(AttributeTest, ValidationFailures) {
   EXPECT_FALSE(
       AttributeSpec::Integer("X", AttributeRole::kOther, 0, 10, 0).Validate().ok());
   EXPECT_FALSE(
+      AttributeSpec::Integer("X", AttributeRole::kOther, 10, 0, 5).Validate().ok());
+  EXPECT_FALSE(
       AttributeSpec::Real("X", AttributeRole::kOther, 1.0, 0.0, 3).Validate().ok());
 }
 
@@ -103,14 +106,58 @@ TEST(AttributeTest, GroupLabels) {
   EXPECT_EQ(exp.GroupLabel(2), "[20,30]");  // Last bucket closes the range.
 }
 
+/// Asserts that every integer in [min, max] lies inside the interval its
+/// bucket's label names: "[lo,hi)", or "[lo,hi]" for the last bucket.
+void ExpectIntegerLabelsMatchMembership(const AttributeSpec& spec) {
+  for (int64_t v = static_cast<int64_t>(spec.min());
+       v <= static_cast<int64_t>(spec.max()); ++v) {
+    const int g = spec.GroupIndexOfInt(v);
+    const std::string label = spec.GroupLabel(g);
+    ASSERT_GE(label.size(), 5u) << label;
+    const size_t comma = label.find(',');
+    ASSERT_NE(comma, std::string::npos) << label;
+    const int64_t lo = std::stoll(label.substr(1, comma - 1));
+    const int64_t hi =
+        std::stoll(label.substr(comma + 1, label.size() - comma - 2));
+    const bool closed = label.back() == ']';
+    EXPECT_EQ(closed, g == spec.num_groups() - 1) << label;
+    EXPECT_LE(lo, v) << spec.name() << " " << v << " in " << label;
+    if (closed) {
+      EXPECT_LE(v, hi) << spec.name() << " " << v << " in " << label;
+    } else {
+      EXPECT_LT(v, hi) << spec.name() << " " << v << " in " << label;
+    }
+  }
+}
+
+TEST(AttributeTest, IntegerBucketLabelsMatchMembership) {
+  Schema schema = MakePaperWorkerSchema().value();
+  int checked = 0;
+  for (size_t a = 0; a < schema.num_attributes(); ++a) {
+    if (schema.attribute(a).kind() != AttributeKind::kInteger) continue;
+    ExpectIntegerLabelsMatchMembership(schema.attribute(a));
+    ++checked;
+  }
+  EXPECT_EQ(checked, 2);  // YearOfBirth and YearsExperience.
+  // Fractional widths on both sides of 1, and more buckets than integers.
+  ExpectIntegerLabelsMatchMembership(
+      AttributeSpec::Integer("w", AttributeRole::kProtected, -7, 93, 7));
+  ExpectIntegerLabelsMatchMembership(
+      AttributeSpec::Integer("n", AttributeRole::kProtected, 0, 2, 5));
+  ExpectIntegerLabelsMatchMembership(AttributeSpec::Integer(
+      "big", AttributeRole::kProtected, 1000000000000000, 1000000000000010, 3));
+  EXPECT_EQ(AttributeSpec::Integer("n", AttributeRole::kProtected, 0, 2, 5)
+                .GroupLabel(1),
+            "[1,1)");  // No integer lands in bucket 1: an empty interval.
+}
+
 TEST(AttributeTest, PaperSchemaLabelsAreUnchanged) {
-  // Every group of the paper schema plus one index past each end, as the
-  // labels read when GroupLabel formatted bucket bounds on every call.
+  // Every group of the paper schema plus one index past each end.
   const std::vector<std::vector<std::string>> want = {
       {"<invalid>", "Male", "Female", "<invalid>"},
       {"<invalid>", "America", "India", "Other", "<invalid>"},
-      {"[1938,1950)", "[1950,1962)", "[1962,1974)", "[1974,1985)",
-       "[1985,1997)", "[1997,2009]", "[2009,2021)"},
+      {"[1939,1950)", "[1950,1962)", "[1962,1974)", "[1974,1986)",
+       "[1986,1998)", "[1998,2009]", "[2009,2021)"},
       {"<invalid>", "English", "Indian", "Other", "<invalid>"},
       {"<invalid>", "White", "African-American", "Indian", "Other",
        "<invalid>"},
@@ -136,12 +183,12 @@ TEST(AttributeTest, PaperSchemaLabelsAreUnchanged) {
   }
   // A copied schema carries its labels along.
   const Schema copy = schema;
-  EXPECT_EQ(copy.attribute(2).GroupLabel(4), "[1997,2009]");
+  EXPECT_EQ(copy.attribute(2).GroupLabel(4), "[1998,2009]");
 
   Partition merged;
   merged.merged_paths = {{{0, 1}, {2, 4}}, {{1, 2}, {5, 0}}, {}};
   EXPECT_EQ(PartitionLabel(schema, merged),
-            "Gender=Female & YearOfBirth=[1997,2009] | "
+            "Gender=Female & YearOfBirth=[1998,2009] | "
             "Country=Other & YearsExperience=[0,6) | <all>");
 }
 

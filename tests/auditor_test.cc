@@ -1,11 +1,13 @@
 #include "fairness/auditor.h"
 
 #include <atomic>
+#include <cstring>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/trace.h"
 #include "fairness/registry.h"
 #include "marketplace/biased_scoring.h"
 #include "marketplace/generator.h"
@@ -298,6 +300,38 @@ TEST(AuditorTest, PairwiseValuesAndWorkAreBitIdenticalAcrossThreads) {
   EXPECT_GT(w1.divergence_misses, num_pairs);
   EXPECT_LE(w1.divergence_misses, 2 * num_pairs);
   EXPECT_EQ(w1.histogram_hits + w1.divergence_hits + w1.bytes_used, 0u);
+}
+
+TEST(AuditorTest, UnsampledTraceRecordsNothingAndChangesNothing) {
+  // Sampling off must be tracing off: an attached but unsampled context
+  // takes the same path as no context at all.
+  Table workers = Workers(500, 11);
+  FairnessAuditor auditor(&workers);
+  auto f6 = MakeF6(3);
+  AuditOptions options;
+  options.algorithm = "balanced";
+  const AuditResult untraced = auditor.Audit(*f6, options).value();
+
+  TraceContext unsampled(/*sampled=*/false);
+  options.limits.trace = &unsampled;
+  const AuditResult traced = auditor.Audit(*f6, options).value();
+
+  EXPECT_EQ(std::memcmp(&traced.unfairness, &untraced.unfairness,
+                        sizeof(double)),
+            0);
+  ASSERT_EQ(traced.partitioning.size(), untraced.partitioning.size());
+  for (size_t i = 0; i < traced.partitioning.size(); ++i) {
+    EXPECT_EQ(traced.partitioning[i].rows, untraced.partitioning[i].rows)
+        << i;
+    EXPECT_EQ(PartitionLabel(workers.schema(), traced.partitioning[i]),
+              PartitionLabel(workers.schema(), untraced.partitioning[i]));
+  }
+  EXPECT_EQ(traced.nodes_visited, untraced.nodes_visited);
+  EXPECT_EQ(traced.cache.histogram_misses, untraced.cache.histogram_misses);
+  EXPECT_EQ(traced.cache.divergence_misses,
+            untraced.cache.divergence_misses);
+  EXPECT_EQ(unsampled.span_count(), 0u);
+  EXPECT_TRUE(unsampled.Totals().empty());
 }
 
 TEST(AuditorTest, ConcurrentAuditsShareNothingAndStayExact) {

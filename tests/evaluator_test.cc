@@ -78,20 +78,6 @@ TEST(EvaluatorTest, OutOfRangeScoresCountedByDefault) {
   EXPECT_EQ(MakeToyEvaluator(&table).num_out_of_range(), 0u);
 }
 
-TEST(EvaluatorTest, OutOfRangeScoresRejectedUnderRejectPolicy) {
-  Table table = MakeToyTable().value();
-  std::vector<double> scores = ToyScores(table);
-  scores[0] = 1.5;
-  EvaluatorOptions options;
-  options.out_of_range = OutOfRangePolicy::kReject;
-  StatusOr<UnfairnessEvaluator> eval =
-      UnfairnessEvaluator::Make(&table, scores, options);
-  EXPECT_EQ(eval.status().code(), StatusCode::kInvalidArgument);
-  // The boundary itself is in range (hi is inclusive).
-  scores[0] = 1.0;
-  EXPECT_TRUE(UnfairnessEvaluator::Make(&table, scores, options).ok());
-}
-
 TEST(EvaluatorTest, BuildHistogramCountsPartitionScores) {
   Table table = MakeToyTable().value();
   UnfairnessEvaluator eval = MakeToyEvaluator(&table);
@@ -157,11 +143,6 @@ TEST(EvaluatorTest, MakeFromHistogramsValidation) {
   wrong_shape[2] = Histogram(5, 0.0, 1.0);
   EXPECT_EQ(make(wrong_shape, EvaluatorOptions()).code(),
             StatusCode::kInvalidArgument);
-  EvaluatorOptions reject;
-  reject.out_of_range = OutOfRangePolicy::kReject;
-  EXPECT_TRUE(make(histograms, reject).ok());
-  histograms[0].Add(-3.0);
-  EXPECT_EQ(make(histograms, reject).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(EvaluatorTest, SinglePartitionUnfairnessIsZero) {

@@ -75,8 +75,6 @@
 #include <vector>
 
 #include "common/flags.h"
-#include "common/parallel.h"
-#include "common/stopwatch.h"
 #include "common/str_util.h"
 #include "common/trace.h"
 #include "data/csv.h"
@@ -203,42 +201,16 @@ int CmdProfile(const FlagParser& flags) {
 /// row-level audit.
 int CmdAuditAggregate(const FlagParser& flags, const Table& workers,
                       const ScoringFunction& fn, const AuditOptions& options) {
-  StatusOr<std::vector<double>> scores = fn.ScoreAll(workers);
-  if (!scores.ok()) return Fail(scores.status());
-
-  CellStoreIngestOptions ingest;
-  ingest.num_bins = options.evaluator.num_bins;
-  ingest.score_lo = options.evaluator.score_lo;
-  ingest.score_hi = options.evaluator.score_hi;
-  ingest.num_threads = options.evaluator.num_threads;
-  ingest.protected_attributes = options.protected_attributes;
-
-  ResourceBudget budget = options.limits.MakeBudget();
-  ExecutionContext context = options.limits.MakeContext(&budget);
-
-  Stopwatch ingest_timer;
-  StatusOr<CellStore> store =
-      BuildCellStoreParallel(workers, *scores, ingest, context);
-  if (!store.ok()) return Fail(store.status());
-
-  AggregateReportInfo info;
-  info.scoring_function = fn.Name();
-  info.divergence = options.evaluator.divergence;
-  info.ingest_threads =
-      ingest.num_threads <= 0 ? HardwareThreads() : ingest.num_threads;
-  info.ingest_seconds = ingest_timer.ElapsedSeconds();
-
-  Stopwatch audit_timer;
-  StatusOr<AggregateAuditResult> result =
-      AuditAggregate(*store, options, context);
-  if (!result.ok()) return Fail(result.status());
-  info.audit_seconds = audit_timer.ElapsedSeconds();
+  StatusOr<AggregateAudit> audit = RunAggregateAudit(workers, fn, options);
+  if (!audit.ok()) return Fail(audit.status());
 
   StatusOr<bool> json = flags.GetBool("json", false);
   if (!json.ok()) return Fail(json.status());
   if (*json) {
-    std::printf("%s\n",
-                FormatAggregateAuditJson(*store, *result, info).c_str());
+    std::printf(
+        "%s\n",
+        FormatAggregateAuditJson(audit->store, audit->result, audit->info)
+            .c_str());
     return 0;
   }
   ReportOptions report;
@@ -249,8 +221,9 @@ int CmdAuditAggregate(const FlagParser& flags, const Table& workers,
       GetBoundedInt(flags, "max-partitions", 20, 0, kIntMax);
   if (!max_partitions.ok()) return Fail(max_partitions.status());
   report.max_partitions = static_cast<size_t>(*max_partitions);
-  std::printf("%s",
-              FormatAggregateAuditReport(*store, *result, info, report).c_str());
+  std::printf("%s", FormatAggregateAuditReport(audit->store, audit->result,
+                                               audit->info, report)
+                        .c_str());
   return 0;
 }
 
