@@ -8,12 +8,6 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   return dist(engine_);
 }
 
-double Rng::UniformDouble(double lo, double hi) {
-  assert(lo < hi);
-  std::uniform_real_distribution<double> dist(lo, hi);
-  return dist(engine_);
-}
-
 size_t Rng::UniformIndex(size_t n) {
   assert(n > 0);
   std::uniform_int_distribution<size_t> dist(0, n - 1);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "common/bucket.h"
 #include "common/str_util.h"
 
 namespace fairrank {
@@ -120,20 +121,13 @@ StatusOr<int> AttributeSpec::CodeOf(const std::string& category) const {
 
 int AttributeSpec::GroupIndexOfInt(int64_t value) const {
   if (kind_ == AttributeKind::kCategorical) {
-    int code = static_cast<int>(value);
-    if (code < 0) return 0;
-    if (code >= num_groups()) return num_groups() - 1;
-    return code;
+    return ClampCode(static_cast<int>(value), num_groups());
   }
   return GroupIndexOfReal(static_cast<double>(value));
 }
 
 int AttributeSpec::GroupIndexOfReal(double value) const {
-  double width = (max_ - min_) / num_buckets_;
-  int idx = static_cast<int>(std::floor((value - min_) / width));
-  if (idx < 0) return 0;
-  if (idx >= num_buckets_) return num_buckets_ - 1;
-  return idx;
+  return EqualWidthBucket(value, min_, bucket_width(), num_buckets_);
 }
 
 std::string AttributeSpec::GroupLabel(int group_index) const {
@@ -151,7 +145,7 @@ std::string AttributeSpec::GroupLabel(int group_index) const {
 }
 
 double AttributeSpec::FirstIntegerOfBucket(int group_index) const {
-  const double width = (max_ - min_) / num_buckets_;
+  const double width = bucket_width();
   double value = std::ceil(min_ + group_index * width);
   // Past 2^53 doubles skip integers, and an empty or inverted range (which
   // Validate rejects) has no buckets to fit; keep the edge's ceiling there.
@@ -180,7 +174,7 @@ std::string AttributeSpec::FormatBucketLabel(int group_index) const {
              : FirstIntegerOfBucket(group_index + 1);
     precision = 0;
   } else {
-    double width = (max_ - min_) / num_buckets_;
+    double width = bucket_width();
     lo = min_ + group_index * width;
     hi = lo + width;
     precision = 2;

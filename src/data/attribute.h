@@ -1,6 +1,7 @@
 #ifndef FAIRRANK_DATA_ATTRIBUTE_H_
 #define FAIRRANK_DATA_ATTRIBUTE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -70,6 +71,9 @@ class AttributeSpec {
   double min() const { return min_; }
   double max() const { return max_; }
 
+  /// Numeric only: width of one equal-width bucket.
+  double bucket_width() const { return (max_ - min_) / num_buckets_; }
+
   /// Number of partition groups a split on this attribute produces.
   int num_groups() const;
 
@@ -82,9 +86,17 @@ class AttributeSpec {
 
   /// Maps a raw value to its group index in [0, num_groups()).
   /// For categorical attributes the value is the category code.
-  /// Values outside the declared range are clamped to the edge buckets.
+  /// Values outside the declared range, however far, are clamped to the
+  /// edge buckets. Numeric groups are EqualWidthBucket (common/bucket.h),
+  /// categorical ones ClampCode; Table::GroupIndices applies the same two
+  /// formulas to blocks of rows.
   int GroupIndexOfInt(int64_t value) const;
   int GroupIndexOfReal(double value) const;
+
+  /// A category code clamped to [0, num_groups).
+  static int ClampCode(int code, int num_groups) {
+    return std::min(std::max(code, 0), num_groups - 1);
+  }
 
   /// Human-readable label of a group: the category name, or the bucket
   /// interval like "[1950,1962)" (the last bucket closes with "]"). Integer

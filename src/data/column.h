@@ -47,6 +47,22 @@ class Column {
     return reals_[row];
   }
 
+  /// Typed storage of the whole column, `size()` entries, for block kernels
+  /// that read a range of rows at once. The accessor must match the column
+  /// kind (asserted).
+  const int32_t* code_data() const {
+    assert(kind_ == AttributeKind::kCategorical);
+    return codes_.data();
+  }
+  const int64_t* int_data() const {
+    assert(kind_ == AttributeKind::kInteger);
+    return ints_.data();
+  }
+  const double* real_data() const {
+    assert(kind_ == AttributeKind::kReal);
+    return reals_.data();
+  }
+
   /// Kind-independent numeric view of a cell (category code, integer, or
   /// real), used by scoring functions and group mapping.
   double AsDouble(size_t row) const;

@@ -1,7 +1,9 @@
 #include "data/table.h"
 
+#include <cassert>
 #include <cmath>
 
+#include "common/bucket.h"
 #include "common/str_util.h"
 
 namespace fairrank {
@@ -124,6 +126,43 @@ int Table::GroupIndex(size_t row, size_t attr_index) const {
       return spec.GroupIndexOfReal(col.RealAt(row));
   }
   return 0;
+}
+
+void Table::GroupIndices(size_t attr_index, size_t begin, size_t end,
+                         int* out) const {
+  assert(begin <= end && end <= num_rows_);
+  const AttributeSpec& spec = schema_.attribute(attr_index);
+  const Column& col = columns_[attr_index];
+  const size_t n = end - begin;
+  const int groups = spec.num_groups();
+  switch (spec.kind()) {
+    case AttributeKind::kCategorical: {
+      const int32_t* codes = col.code_data() + begin;
+      for (size_t i = 0; i < n; ++i) {
+        out[i] = AttributeSpec::ClampCode(codes[i], groups);
+      }
+      return;
+    }
+    case AttributeKind::kInteger: {
+      const int64_t* values = col.int_data() + begin;
+      const double min = spec.min();
+      const double width = spec.bucket_width();
+      for (size_t i = 0; i < n; ++i) {
+        out[i] = EqualWidthBucket(static_cast<double>(values[i]), min, width,
+                                  groups);
+      }
+      return;
+    }
+    case AttributeKind::kReal: {
+      const double* values = col.real_data() + begin;
+      const double min = spec.min();
+      const double width = spec.bucket_width();
+      for (size_t i = 0; i < n; ++i) {
+        out[i] = EqualWidthBucket(values[i], min, width, groups);
+      }
+      return;
+    }
+  }
 }
 
 std::string Table::CellToString(size_t row, size_t attr_index) const {

@@ -41,6 +41,12 @@ class Table {
   /// (category code or numeric bucket). See AttributeSpec::GroupIndexOf*.
   int GroupIndex(size_t row, size_t attr_index) const;
 
+  /// Block form of GroupIndex: writes the group of every row in
+  /// [begin, end) to out[0, end - begin), by the same formulas, reading the
+  /// column's storage directly. Requires begin <= end <= num_rows().
+  void GroupIndices(size_t attr_index, size_t begin, size_t end,
+                    int* out) const;
+
   /// Numeric view of a cell (code, integer, or real as double).
   double ValueAsDouble(size_t row, size_t attr_index) const {
     return columns_[attr_index].AsDouble(row);

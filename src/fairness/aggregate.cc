@@ -7,6 +7,7 @@
 #include <optional>
 #include <utility>
 
+#include "common/bucket.h"
 #include "common/fault_injection.h"
 #include "common/parallel.h"
 #include "common/stopwatch.h"
@@ -273,7 +274,6 @@ struct CellStoreShard {
   std::vector<double> clamped;  ///< num_dense_cells.
   std::optional<CellStore> sparse;
   Status status = Status::OK();
-  size_t rows = 0;
 };
 
 /// Approximate bytes one dense shard allocates, for the memory budget.
@@ -283,7 +283,39 @@ uint64_t DenseShardBytes(const IngestPlan& plan) {
           sizeof(size_t) + sizeof(double));
 }
 
+/// Offset of the first group in g[0, n) outside [0, num_groups), or n.
+size_t FirstGroupOutOfRange(const int* g, size_t n, int num_groups) {
+  bool bad = false;
+  for (size_t i = 0; i < n; ++i) {
+    bad |= static_cast<unsigned>(g[i]) >= static_cast<unsigned>(num_groups);
+  }
+  if (!bad) return n;
+  for (size_t i = 0; i < n; ++i) {
+    if (g[i] < 0 || g[i] >= num_groups) return i;
+  }
+  return n;
+}
+
+/// Offset of the first non-finite score in s[0, n), or n.
+size_t FirstNonFinite(const double* s, size_t n) {
+  bool bad = false;
+  for (size_t i = 0; i < n; ++i) bad |= !std::isfinite(s[i]);
+  if (!bad) return n;
+  for (size_t i = 0; i < n; ++i) {
+    if (!std::isfinite(s[i])) return i;
+  }
+  return n;
+}
+
 /// Runs one shard over rows [begin, end), leaving the outcome in `shard`.
+///
+/// Rows go in blocks of kIngestCheckBlock, with the deadline checked between
+/// blocks. Each block fills one group array per attribute
+/// (Table::GroupIndices), then checks the groups and scores; the first bad
+/// row fails the shard as a row-by-row pass would have met it (a group out of
+/// range before its row's score). Only the accumulate step differs: a dense
+/// shard folds the groups into mixed-radix cell ids and bins every score in
+/// one pass, a sparse shard adds each row to its map.
 void RunIngestShard(const Table& table, const std::vector<double>& scores,
                     const IngestPlan& plan, const ExecutionContext& context,
                     size_t begin, size_t end, CellStoreShard* shard) {
@@ -303,49 +335,79 @@ void RunIngestShard(const Table& table, const std::vector<double>& scores,
     shard->sparse.emplace(plan.specs, plan.num_bins, plan.score_lo,
                           plan.score_hi);
   }
-  // Scratch histogram purely for BinOf: bit-identical binning (and clamp
-  // semantics) with the serial Histogram::Add path.
-  Histogram binner(plan.num_bins, plan.score_lo, plan.score_hi);
-  std::vector<int> groups(plan.specs.size());
+  // Histogram::BinOf's formula and width, so the bins equal the serial
+  // Histogram::Add path bit for bit.
+  const double bin_width =
+      Histogram(plan.num_bins, plan.score_lo, plan.score_hi).bin_width();
+  const size_t num_attrs = plan.columns.size();
+  // groups[a * kIngestCheckBlock + i]: attribute a's group of row i.
+  std::vector<int> groups(num_attrs * kIngestCheckBlock);
+  std::vector<uint32_t> cells(dense ? kIngestCheckBlock : 0);
+  std::vector<int> key(num_attrs);
   size_t sparse_cells_charged = 0;
-  for (size_t row = begin; row < end; ++row) {
-    if ((shard->rows % kIngestCheckBlock) == 0 && shard->rows > 0) {
+  for (size_t block = begin; block < end; block += kIngestCheckBlock) {
+    if (block > begin) {
       reason = context.Check();
       if (reason != ExhaustionReason::kNone) {
         shard->status = ExhaustionStatus(reason);
         return;
       }
     }
-    size_t cell = 0;
-    for (size_t a = 0; a < plan.columns.size(); ++a) {
-      int group = table.GroupIndex(row, plan.columns[a]);
-      if (group < 0 || group >= plan.specs[a].num_groups()) {
-        shard->status = Status::OutOfRange(
-            "row " + std::to_string(row) + ": group " + std::to_string(group) +
-            " out of range for attribute '" + plan.specs[a].name() + "'");
-        return;
-      }
-      if (dense) {
-        cell += static_cast<size_t>(group) * plan.strides[a];
-      } else {
-        groups[a] = group;
+    const size_t n = std::min(kIngestCheckBlock, end - block);
+    size_t bad = n;
+    size_t bad_attr = 0;
+    for (size_t a = 0; a < num_attrs; ++a) {
+      int* g = &groups[a * kIngestCheckBlock];
+      table.GroupIndices(plan.columns[a], block, block + n, g);
+      // Strictly earlier rows only: within a row the first attribute wins.
+      size_t first = FirstGroupOutOfRange(g, bad, plan.specs[a].num_groups());
+      if (first < bad) {
+        bad = first;
+        bad_attr = a;
       }
     }
-    double score = scores[row];
-    if (!std::isfinite(score)) {
+    const double* s = scores.data() + block;
+    size_t bad_score = FirstNonFinite(s, bad);
+    if (bad_score < bad) {
       shard->status = Status::InvalidArgument(
-          "score " + std::to_string(row) + " is not finite");
+          "score " + std::to_string(block + bad_score) + " is not finite");
+      return;
+    }
+    if (bad < n) {
+      shard->status = Status::OutOfRange(
+          "row " + std::to_string(block + bad) + ": group " +
+          std::to_string(groups[bad_attr * kIngestCheckBlock + bad]) +
+          " out of range for attribute '" + plan.specs[bad_attr].name() + "'");
       return;
     }
     if (dense) {
-      shard->bins[cell * static_cast<size_t>(plan.num_bins) +
-                  static_cast<size_t>(binner.BinOf(score))] += 1.0;
-      if (score < plan.score_lo || score > plan.score_hi) {
-        shard->clamped[cell] += 1.0;
+      std::fill_n(cells.begin(), n, 0u);
+      for (size_t a = 0; a < num_attrs; ++a) {
+        const int* g = &groups[a * kIngestCheckBlock];
+        const uint32_t stride = static_cast<uint32_t>(plan.strides[a]);
+        for (size_t i = 0; i < n; ++i) {
+          cells[i] += static_cast<uint32_t>(g[i]) * stride;
+        }
       }
-      ++shard->counts[cell];
-    } else {
-      shard->status = shard->sparse->Add(groups, score);
+      for (size_t i = 0; i < n; ++i) {
+        const double score = s[i];
+        const size_t cell = cells[i];
+        shard->bins[cell * static_cast<size_t>(plan.num_bins) +
+                    static_cast<size_t>(EqualWidthBucket(
+                        score, plan.score_lo, bin_width, plan.num_bins))] +=
+            1.0;
+        if (score < plan.score_lo || score > plan.score_hi) {
+          shard->clamped[cell] += 1.0;
+        }
+        ++shard->counts[cell];
+      }
+      continue;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t a = 0; a < num_attrs; ++a) {
+        key[a] = groups[a * kIngestCheckBlock + i];
+      }
+      shard->status = shard->sparse->Add(key, s[i]);
       if (!shard->status.ok()) return;
       // Sparse shards charge memory as cells materialize (the dense path
       // charged its arrays up front).
@@ -362,7 +424,6 @@ void RunIngestShard(const Table& table, const std::vector<double>& scores,
         }
       }
     }
-    ++shard->rows;
   }
 }
 

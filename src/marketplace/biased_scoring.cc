@@ -1,5 +1,7 @@
 #include "marketplace/biased_scoring.h"
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "marketplace/worker.h"
 
@@ -15,16 +17,51 @@ BiasedScoringFunction::BiasedScoringFunction(std::string name,
       default_lo_(default_lo),
       default_hi_(default_hi) {}
 
+namespace {
+
+/// Rows matched and drawn per block of BiasedScoringFunction::ScoreAll.
+constexpr size_t kScoreBlock = 4096;
+
+/// One rule condition resolved against a table: the column it reads and the
+/// code or inclusive range it requires.
+struct ResolvedCondition {
+  const Column* column = nullptr;
+  int code = 0;  ///< Categorical: the required code.
+  double lo = 0.0;
+  double hi = 0.0;
+
+  /// Clears match[i] for each row begin + i, i < n, the condition rejects.
+  void Match(size_t begin, size_t n, uint32_t* match) const {
+    switch (column->kind()) {
+      case AttributeKind::kCategorical: {
+        const int32_t* c = column->code_data() + begin;
+        for (size_t i = 0; i < n; ++i) match[i] &= c[i] == code;
+        return;
+      }
+      case AttributeKind::kInteger: {
+        const int64_t* v = column->int_data() + begin;
+        for (size_t i = 0; i < n; ++i) {
+          const double x = static_cast<double>(v[i]);
+          match[i] &= !(x < lo) & !(x > hi);
+        }
+        return;
+      }
+      case AttributeKind::kReal: {
+        const double* v = column->real_data() + begin;
+        for (size_t i = 0; i < n; ++i) {
+          match[i] &= !(v[i] < lo) & !(v[i] > hi);
+        }
+        return;
+      }
+    }
+  }
+};
+
+}  // namespace
+
 StatusOr<std::vector<double>> BiasedScoringFunction::ScoreAll(
     const Table& table) const {
   // Resolve attribute references once per call.
-  struct ResolvedCondition {
-    size_t attr_index;
-    bool is_categorical;
-    int code;  // Categorical: required code.
-    double lo;
-    double hi;
-  };
   std::vector<std::vector<ResolvedCondition>> resolved(rules_.size());
   for (size_t r = 0; r < rules_.size(); ++r) {
     if (rules_[r].score_lo > rules_[r].score_hi) {
@@ -36,9 +73,7 @@ StatusOr<std::vector<double>> BiasedScoringFunction::ScoreAll(
                                 table.schema().FindIndex(cond.attribute));
       const AttributeSpec& spec = table.schema().attribute(index);
       ResolvedCondition rc;
-      rc.attr_index = index;
-      rc.is_categorical = cond.is_categorical;
-      rc.code = 0;
+      rc.column = &table.column(index);
       rc.lo = cond.lo;
       rc.hi = cond.hi;
       if (cond.is_categorical) {
@@ -54,35 +89,38 @@ StatusOr<std::vector<double>> BiasedScoringFunction::ScoreAll(
       resolved[r].push_back(rc);
     }
   }
+  // Score range by rule index; index rules_.size() is the default range.
+  const uint32_t num_rules = static_cast<uint32_t>(rules_.size());
+  std::vector<double> range_lo(num_rules + 1, default_lo_);
+  std::vector<double> range_hi(num_rules + 1, default_hi_);
+  for (uint32_t r = 0; r < num_rules; ++r) {
+    range_lo[r] = rules_[r].score_lo;
+    range_hi[r] = rules_[r].score_hi;
+  }
 
   Rng rng(seed_);
-  std::vector<double> scores(table.num_rows(), 0.0);
-  for (size_t row = 0; row < table.num_rows(); ++row) {
-    double lo = default_lo_;
-    double hi = default_hi_;
-    for (size_t r = 0; r < rules_.size(); ++r) {
-      bool match = true;
+  const size_t rows = table.num_rows();
+  std::vector<double> scores(rows, 0.0);
+  std::vector<uint32_t> match(kScoreBlock);
+  std::vector<uint32_t> rule(kScoreBlock);
+  for (size_t begin = 0; begin < rows; begin += kScoreBlock) {
+    const size_t n = std::min(kScoreBlock, rows - begin);
+    // Rules are matched last to first, so each row ends on its first
+    // matching rule, or the default when none matches.
+    std::fill_n(rule.begin(), n, num_rules);
+    for (uint32_t r = num_rules; r-- > 0;) {
+      std::fill_n(match.begin(), n, 1u);
       for (const ResolvedCondition& rc : resolved[r]) {
-        if (rc.is_categorical) {
-          if (table.column(rc.attr_index).CodeAt(row) != rc.code) {
-            match = false;
-            break;
-          }
-        } else {
-          double v = table.ValueAsDouble(row, rc.attr_index);
-          if (v < rc.lo || v > rc.hi) {
-            match = false;
-            break;
-          }
-        }
+        rc.Match(begin, n, match.data());
       }
-      if (match) {
-        lo = rules_[r].score_lo;
-        hi = rules_[r].score_hi;
-        break;
-      }
+      for (size_t i = 0; i < n; ++i) rule[i] = match[i] ? r : rule[i];
     }
-    scores[row] = (lo == hi) ? lo : rng.UniformDouble(lo, hi);
+    // Draws stay in row order; a degenerate range consumes none.
+    for (size_t i = 0; i < n; ++i) {
+      const double lo = range_lo[rule[i]];
+      const double hi = range_hi[rule[i]];
+      scores[begin + i] = (lo == hi) ? lo : rng.UniformDouble(lo, hi);
+    }
   }
   return scores;
 }

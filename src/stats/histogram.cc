@@ -52,15 +52,6 @@ Histogram::Histogram(int num_bins, double lo, double hi)
   assert(num_bins >= 1 && lo < hi);
 }
 
-int Histogram::BinOf(double value) const {
-  // Clamp before the cast: converting a double beyond int's range is
-  // undefined behaviour.
-  const double idx = std::floor((value - lo_) / bin_width());
-  if (!(idx >= 0.0)) return 0;
-  if (idx >= num_bins()) return num_bins() - 1;
-  return static_cast<int>(idx);
-}
-
 void Histogram::Add(double value) { AddWeighted(value, 1.0); }
 
 void Histogram::AddWeighted(double value, double weight) {

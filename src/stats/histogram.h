@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bucket.h"
 #include "common/status.h"
 
 namespace fairrank {
@@ -50,7 +51,9 @@ class Histogram {
   void AddWeighted(double value, double weight);
 
   /// Bin index a value falls into (clamped to [0, num_bins)).
-  int BinOf(double value) const;
+  int BinOf(double value) const {
+    return EqualWidthBucket(value, lo_, bin_width(), num_bins());
+  }
 
   /// Center of bin `i` in the value domain.
   double BinCenter(int i) const { return lo_ + (i + 0.5) * bin_width(); }

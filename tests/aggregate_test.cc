@@ -304,6 +304,16 @@ TEST(BuildCellStoreParallelTest, SparseFallbackMatchesSerialAndHonorsBudget) {
   EXPECT_STREQ(
       ExhaustionReasonToString(ExhaustionReasonFromStatus(strapped.status())),
       "memory-budget");
+
+  // Sparse shards share the block checks: the first bad score is named.
+  scores[9000] = std::numeric_limits<double>::quiet_NaN();
+  scores[15000] = std::numeric_limits<double>::infinity();
+  for (int threads : {1, 3}) {
+    options.num_threads = threads;
+    StatusOr<CellStore> bad = BuildCellStoreParallel(table, scores, options);
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().message(), "score 9000 is not finite");
+  }
 }
 
 TEST(BuildCellStoreParallelTest, ValidatesInput) {
@@ -356,6 +366,32 @@ TEST(BuildCellStoreParallelTest, RejectsNonFiniteScores) {
       ASSERT_FALSE(store.ok()) << bad << " " << threads;
       EXPECT_EQ(store.status().code(), StatusCode::kInvalidArgument);
       EXPECT_EQ(store.status().message(), "score 137 is not finite");
+    }
+  }
+}
+
+TEST(BuildCellStoreParallelTest, NamesTheFirstNonFiniteScorePastBlockEdges) {
+  // Rows go in blocks of 4096: bad scores on, before and after block edges
+  // must still be reported by their first row, for any shard split.
+  GeneratorOptions gen;
+  gen.num_workers = 10000;
+  gen.seed = 9;
+  Table workers = GenerateWorkers(gen).value();
+  for (size_t first : {size_t{4095}, size_t{4096}, size_t{4097},
+                       size_t{9999}}) {
+    std::vector<double> scores(workers.num_rows(), 0.5);
+    scores[first] = std::numeric_limits<double>::quiet_NaN();
+    if (first + 1 < scores.size()) {
+      scores[first + 1] = std::numeric_limits<double>::infinity();
+    }
+    for (int threads : {1, 2, 3}) {
+      CellStoreIngestOptions options;
+      options.num_threads = threads;
+      StatusOr<CellStore> store =
+          BuildCellStoreParallel(workers, scores, options);
+      ASSERT_FALSE(store.ok()) << first << " " << threads;
+      EXPECT_EQ(store.status().message(),
+                "score " + std::to_string(first) + " is not finite");
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -82,6 +83,30 @@ TEST(AttributeTest, BucketizationClampsOutOfRange) {
   EXPECT_EQ(rate.GroupIndexOfReal(-0.1), 0);
   EXPECT_EQ(rate.GroupIndexOfReal(1.5), 9);
   EXPECT_EQ(rate.GroupIndexOfReal(1.0), 9);  // Upper bound inclusive.
+}
+
+TEST(AttributeTest, HugeValuesClampToTheEdgeBuckets) {
+  // Quotients past int's range must clamp before the cast, not wrap into
+  // bucket 0.
+  AttributeSpec rate =
+      AttributeSpec::Real("ApprovalRate", AttributeRole::kObserved, 0.0,
+                          100.0, 4);
+  EXPECT_EQ(rate.GroupIndexOfReal(1e12), 3);
+  EXPECT_EQ(rate.GroupIndexOfReal(1e300), 3);
+  EXPECT_EQ(rate.GroupIndexOfReal(std::numeric_limits<double>::max()), 3);
+  EXPECT_EQ(rate.GroupIndexOfReal(-1e12), 0);
+  EXPECT_EQ(rate.GroupIndexOfReal(-std::numeric_limits<double>::max()), 0);
+  EXPECT_EQ(rate.GroupIndexOfReal(std::numeric_limits<double>::infinity()),
+            3);
+  EXPECT_EQ(rate.GroupIndexOfReal(std::numeric_limits<double>::quiet_NaN()),
+            0);
+  AttributeSpec yob = AttributeSpec::Integer(
+      "YearOfBirth", AttributeRole::kProtected, 1950, 2009, 5);
+  EXPECT_EQ(yob.GroupIndexOfInt(3000), 4);
+  EXPECT_EQ(yob.GroupIndexOfInt(100'000'000'000), 4);
+  EXPECT_EQ(yob.GroupIndexOfInt(std::numeric_limits<int64_t>::max()), 4);
+  EXPECT_EQ(yob.GroupIndexOfInt(-100'000'000'000), 0);
+  EXPECT_EQ(yob.GroupIndexOfInt(std::numeric_limits<int64_t>::min()), 0);
 }
 
 TEST(AttributeTest, RealBucketBoundaries) {

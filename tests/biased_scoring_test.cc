@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <random>
+#include <vector>
+
 #include "marketplace/generator.h"
 #include "marketplace/worker.h"
 
@@ -93,6 +98,90 @@ TEST(BiasedScoringTest, F9UsesEthnicityLanguageBirth) {
       EXPECT_LT(s, 0.7);
     } else {
       EXPECT_LT(s, 0.2);
+    }
+  }
+}
+
+/// The row-at-a-time scoring loop: each row walks the rules in order, takes
+/// the first whose conditions all hold, and draws its score from
+/// std::uniform_real_distribution on the seeded engine (a degenerate range
+/// draws nothing).
+std::vector<double> RowByRowScores(const Table& table,
+                                   const std::vector<BiasRule>& rules,
+                                   uint64_t seed, double default_lo = 0.0,
+                                   double default_hi = 1.0) {
+  std::mt19937_64 engine(seed);
+  std::vector<double> scores(table.num_rows());
+  for (size_t row = 0; row < table.num_rows(); ++row) {
+    double lo = default_lo;
+    double hi = default_hi;
+    for (const BiasRule& rule : rules) {
+      bool match = true;
+      for (const BiasCondition& cond : rule.conditions) {
+        size_t index = table.schema().FindIndex(cond.attribute).value();
+        if (cond.is_categorical) {
+          int code = table.schema().attribute(index).CodeOf(cond.label).value();
+          match = table.column(index).CodeAt(row) == code;
+        } else {
+          double v = table.ValueAsDouble(row, index);
+          match = !(v < cond.lo || v > cond.hi);
+        }
+        if (!match) break;
+      }
+      if (match) {
+        lo = rule.score_lo;
+        hi = rule.score_hi;
+        break;
+      }
+    }
+    scores[row] =
+        (lo == hi) ? lo : std::uniform_real_distribution<double>(lo, hi)(engine);
+  }
+  return scores;
+}
+
+bool SameBytes(const std::vector<double>& a, const std::vector<double>& b) {
+  // memcmp must not see the null data() of an empty vector.
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(BiasedScoringTest, BlockScoringEqualsRowByRowOracle) {
+  // A real-valued range, an integer range, a constant rule (no draw) and an
+  // empty catch-all, on top of the paper's f6-f9.
+  std::vector<BiasRule> custom;
+  custom.push_back({{BiasCondition::Equals(wa::kGender, "Female"),
+                     BiasCondition::InRange(wa::kApprovalRate, 40.0, 70.5)},
+                    0.6,
+                    0.9});
+  custom.push_back({{BiasCondition::Equals(wa::kCountry, "India")}, 0.5, 0.5});
+  custom.push_back(
+      {{BiasCondition::InRange(wa::kYearsExperience, 3, 10)}, 0.2, 0.4});
+  custom.push_back({{}, 0.1, 0.3});
+  std::vector<BiasRule> no_catch_all(custom.begin(), custom.end() - 1);
+  for (size_t n : {0, 1, 4095, 4096, 4097, 10000}) {
+    Table workers = Workers(n, 5 + n);
+    const uint64_t seed = 17 + n;
+    std::vector<std::unique_ptr<ScoringFunction>> fns;
+    fns.push_back(MakeF6(seed));
+    fns.push_back(MakeF7(seed));
+    fns.push_back(MakeF8(seed));
+    fns.push_back(MakeF9(seed));
+    fns.push_back(std::make_unique<BiasedScoringFunction>("custom", custom,
+                                                          seed));
+    fns.push_back(std::make_unique<BiasedScoringFunction>(
+        "no catch-all", no_catch_all, seed, 0.25, 0.75));
+    for (const auto& fn : fns) {
+      const auto& biased = static_cast<const BiasedScoringFunction&>(*fn);
+      const bool custom_defaults = fn->Name() == "no catch-all";
+      std::vector<double> want =
+          custom_defaults
+              ? RowByRowScores(workers, biased.rules(), seed, 0.25, 0.75)
+              : RowByRowScores(workers, biased.rules(), seed);
+      std::vector<double> got = fn->ScoreAll(workers).value();
+      EXPECT_TRUE(SameBytes(got, want)) << fn->Name() << " at " << n
+                                        << " rows";
     }
   }
 }

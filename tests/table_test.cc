@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace fairrank {
 namespace {
 
@@ -128,6 +137,78 @@ TEST(TableTest, GroupIndexUsesBuckets) {
   EXPECT_EQ(table.GroupIndex(3, 1), 4);
   EXPECT_EQ(table.GroupIndex(0, 0), 0);
   EXPECT_EQ(table.GroupIndex(3, 0), 1);
+}
+
+/// `n` rows over MakeTestSchema whose numeric cells mix in-range values
+/// with the range edges, values just outside, far outside and at the limits
+/// of their type.
+Table EdgeValueTable(size_t n) {
+  const int64_t ints[] = {18, 30, 31, 80, 17, 81, 0, -1, 3000,
+                          100'000'000'000, -100'000'000'000,
+                          std::numeric_limits<int64_t>::max(),
+                          std::numeric_limits<int64_t>::min()};
+  const double reals[] = {0.0, 0.5, 2.5, 4.999, 5.0, -0.0, -1e-300,
+                          5.0000001, 1e12, -1e12, 1e300,
+                          std::numeric_limits<double>::max(),
+                          std::numeric_limits<double>::lowest()};
+  Table table(MakeTestSchema());
+  table.Reserve(n);
+  Rng rng(n + 1);
+  for (size_t row = 0; row < n; ++row) {
+    const bool edge = rng.Bernoulli(0.5);
+    const int64_t age = edge ? ints[rng.UniformIndex(std::size(ints))]
+                             : rng.UniformInt(18, 80);
+    const double rating = edge ? reals[rng.UniformIndex(std::size(reals))]
+                               : rng.UniformDouble(0.0, 5.0);
+    EXPECT_TRUE(table
+                    .AppendRow({static_cast<int64_t>(rng.UniformIndex(2)),
+                                age, rating})
+                    .ok());
+  }
+  return table;
+}
+
+TEST(TableTest, GroupIndicesEqualsGroupIndexRowByRow) {
+  for (size_t n : {0, 1, 4095, 4096, 4097, 10000}) {
+    Table table = EdgeValueTable(n);
+    // The whole table, then sub-ranges that start and end mid-block.
+    std::vector<std::pair<size_t, size_t>> ranges = {{0, n}};
+    for (size_t begin : {size_t{1}, size_t{2047}, size_t{4095},
+                         size_t{4097}}) {
+      if (begin <= n) ranges.push_back({begin, n});
+      if (begin + 3000 <= n) ranges.push_back({begin, begin + 3000});
+    }
+    if (n > 0) ranges.push_back({n - 1, n});
+    ranges.push_back({n, n});
+    for (size_t attr = 0; attr < table.num_columns(); ++attr) {
+      for (const auto& [begin, end] : ranges) {
+        std::vector<int> want;
+        for (size_t row = begin; row < end; ++row) {
+          want.push_back(table.GroupIndex(row, attr));
+        }
+        // One sentinel past the end: the kernel writes nothing there.
+        std::vector<int> got(end - begin + 1, -7);
+        table.GroupIndices(attr, begin, end, got.data());
+        EXPECT_EQ(got.back(), -7);
+        got.pop_back();
+        EXPECT_EQ(got, want) << "attr " << attr << " rows [" << begin << ", "
+                             << end << ") of " << n;
+      }
+    }
+  }
+  // The far-outside values land on the edge groups.
+  Table table(MakeTestSchema());
+  ASSERT_TRUE(table.AppendRow({int64_t{0}, int64_t{100'000'000'000}, 1e300})
+                  .ok());
+  ASSERT_TRUE(table.AppendRow({int64_t{1}, int64_t{-100'000'000'000}, -1e12})
+                  .ok());
+  int groups[2];
+  table.GroupIndices(1, 0, 2, groups);
+  EXPECT_EQ(groups[0], 4);
+  EXPECT_EQ(groups[1], 0);
+  table.GroupIndices(2, 0, 2, groups);
+  EXPECT_EQ(groups[0], 9);
+  EXPECT_EQ(groups[1], 0);
 }
 
 TEST(TableTest, ValueAsDouble) {
