@@ -13,11 +13,17 @@
 //     reproduces them exactly (',' delimiter — CsvEscape's contract).
 //   - ReadCsv against the paper worker schema is deterministic, errors
 //     within the documented vocabulary, and on success honors max_rows.
+//   - A failing read names the line it failed on ("line N: ", N within the
+//     input), unless the failure is about the stream as a whole: an empty
+//     stream, a header without a schema column, or the max_rows cap.
+//   - A successful read holds one row per data line: every line after the
+//     header, less the blank ones when they are skipped.
 
 #include "fuzz/fuzz_targets.h"
 
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -27,6 +33,33 @@
 #include "marketplace/worker.h"
 
 namespace fairrank::fuzz {
+namespace {
+
+/// The lines of `text` as std::getline splits them: no empty line after a
+/// final '\n'.
+std::vector<std::string_view> Lines(std::string_view text) {
+  std::vector<std::string_view> lines;
+  while (!text.empty()) {
+    const size_t newline = text.find('\n');
+    lines.push_back(text.substr(0, newline));
+    if (newline == std::string_view::npos) break;
+    text.remove_prefix(newline + 1);
+  }
+  return lines;
+}
+
+/// N of a message that starts "line N: ", or 0.
+size_t LineNumberOf(const std::string& message) {
+  if (!StartsWith(message, "line ")) return 0;
+  size_t n = 0;
+  size_t i = 5;
+  for (; i < message.size() && message[i] >= '0' && message[i] <= '9'; ++i) {
+    n = n * 10 + static_cast<size_t>(message[i] - '0');
+  }
+  return StartsWith(std::string_view(message).substr(i), ": ") ? n : 0;
+}
+
+}  // namespace
 
 void FuzzCsv(const uint8_t* data, size_t size) {
   FuzzInput in(data, size);
@@ -71,6 +104,7 @@ void FuzzCsv(const uint8_t* data, size_t size) {
   }
 
   // Whole-stream read against the real ingest schema.
+  const std::vector<std::string_view> lines = Lines(text);
   StatusOr<Schema> schema = MakePaperWorkerSchema();
   FUZZ_CHECK(schema.ok());
   std::istringstream stream(text);
@@ -85,11 +119,25 @@ void FuzzCsv(const uint8_t* data, size_t size) {
                code == StatusCode::kNotFound ||
                code == StatusCode::kOutOfRange);
     FUZZ_CHECK(code == table_again.status().code());
+    const std::string& message = table.status().message();
+    const bool whole_stream =
+        message == "CSV stream empty: missing header" ||
+        StartsWith(message, "CSV header has no column named") ||
+        StartsWith(message, "CSV exceeds max_rows");
+    if (!whole_stream) {
+      const size_t line_number = LineNumberOf(message);
+      FUZZ_CHECK(line_number >= 1 && line_number <= lines.size());
+    }
   } else {
     FUZZ_CHECK(table->num_rows() == table_again->num_rows());
     if (options.max_rows > 0) {
       FUZZ_CHECK(table->num_rows() <= options.max_rows);
     }
+    size_t data_lines = 0;
+    for (size_t i = options.has_header ? 1 : 0; i < lines.size(); ++i) {
+      if (!options.skip_blank_lines || !Trim(lines[i]).empty()) ++data_lines;
+    }
+    FUZZ_CHECK(table->num_rows() == data_lines);
   }
 }
 

@@ -47,13 +47,9 @@ std::string CsvEscape(std::string_view field) {
 
 std::string_view Trim(std::string_view s) {
   size_t begin = 0;
-  while (begin < s.size() && std::isspace(static_cast<unsigned char>(s[begin]))) {
-    ++begin;
-  }
+  while (begin < s.size() && IsAsciiSpace(s[begin])) ++begin;
   size_t end = s.size();
-  while (end > begin && std::isspace(static_cast<unsigned char>(s[end - 1]))) {
-    --end;
-  }
+  while (end > begin && IsAsciiSpace(s[end - 1])) --end;
   return s.substr(begin, end - begin);
 }
 

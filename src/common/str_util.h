@@ -20,7 +20,13 @@ std::string Join(const std::vector<std::string>& parts, std::string_view delim);
 /// through this — unescaped algorithm/function/attribute names corrupt rows.
 std::string CsvEscape(std::string_view field);
 
-/// Removes leading and trailing ASCII whitespace.
+/// True for the six whitespace bytes of the C locale: space, \t, \n, \v,
+/// \f and \r. Independent of the process locale.
+inline bool IsAsciiSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// Removes leading and trailing ASCII whitespace (IsAsciiSpace).
 std::string_view Trim(std::string_view s);
 
 /// True if `s` starts with `prefix`.

@@ -106,14 +106,14 @@ Status AttributeSpec::Validate() const {
   return Status::OK();
 }
 
-StatusOr<int> AttributeSpec::CodeOf(const std::string& category) const {
+StatusOr<int> AttributeSpec::CodeOf(std::string_view category) const {
   if (kind_ != AttributeKind::kCategorical) {
     return Status::FailedPrecondition("CodeOf on non-categorical attribute '" +
                                       name_ + "'");
   }
   auto it = std::find(categories_.begin(), categories_.end(), category);
   if (it == categories_.end()) {
-    return Status::NotFound("category '" + category +
+    return Status::NotFound("category '" + std::string(category) +
                             "' not in attribute '" + name_ + "'");
   }
   return static_cast<int>(it - categories_.begin());

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -82,7 +83,7 @@ class AttributeSpec {
   Status Validate() const;
 
   /// Categorical only: code of a category label, or NotFound.
-  StatusOr<int> CodeOf(const std::string& category) const;
+  StatusOr<int> CodeOf(std::string_view category) const;
 
   /// Maps a raw value to its group index in [0, num_groups()).
   /// For categorical attributes the value is the category code.

@@ -4,6 +4,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -32,9 +33,11 @@ struct CsvOptions {
 
 /// Parses one CSV record with RFC 4180 quoting (quoted fields may contain the
 /// delimiter; doubled quotes escape a quote). Fields longer than
-/// `max_field_bytes` (0 = unlimited) fail with ResourceExhausted. Exposed
-/// for testing.
-StatusOr<std::vector<std::string>> ParseCsvRecord(const std::string& line,
+/// `max_field_bytes` (0 = unlimited) fail with ResourceExhausted; a syntax
+/// error fails with InvalidArgument and quotes at most the first 64 bytes of
+/// the line. ReadCsv splits every line with the same tokenizer. Exposed for
+/// testing.
+StatusOr<std::vector<std::string>> ParseCsvRecord(std::string_view line,
                                                   char delimiter,
                                                   size_t max_field_bytes = 0);
 
@@ -45,7 +48,13 @@ StatusOr<std::vector<std::string>> ParseCsvRecord(const std::string& line,
 /// Hardening: a UTF-8 byte-order mark on the first line is stripped; every
 /// data row must have exactly as many fields as the header (first data row
 /// when there is no header) — ragged rows fail with InvalidArgument rather
-/// than silently truncating or misaligning columns.
+/// than silently truncating or misaligning columns. An error in a line names
+/// it as "line N: " (the header is line 1). A failing read of the stream
+/// fails with IOError rather than returning the rows read so far.
+///
+/// The stream is read in chunks of 1 MiB and each line is split and
+/// converted in place, so memory beyond the table is one chunk plus the
+/// longest line; the stream may be read past the line that failed.
 StatusOr<Table> ReadCsv(std::istream& in, const Schema& schema,
                         const CsvOptions& options = CsvOptions());
 

@@ -15,66 +15,80 @@ Table::Table(Schema schema) : schema_(std::move(schema)) {
   }
 }
 
-Status Table::ConvertCell(const Cell& cell, const AttributeSpec& spec,
-                          Cell* converted) const {
+namespace {
+
+Status NonFinite(const AttributeSpec& spec) {
+  return Status::InvalidArgument("non-finite value for attribute '" +
+                                 spec.name() + "'");
+}
+
+/// Validates and converts one cell; does not mutate the table.
+Status ConvertCell(const Cell& cell, const AttributeSpec& spec,
+                   CellValue* converted) {
+  if (const std::string* text = std::get_if<std::string>(&cell)) {
+    return ParseCellText(spec, *text, converted);
+  }
   switch (spec.kind()) {
     case AttributeKind::kCategorical: {
-      int code = -1;
-      if (const std::string* label = std::get_if<std::string>(&cell)) {
-        FAIRRANK_ASSIGN_OR_RETURN(code, spec.CodeOf(*label));
-      } else if (const int64_t* v = std::get_if<int64_t>(&cell)) {
-        if (*v < 0 || *v >= spec.num_groups()) {
-          return Status::OutOfRange("code " + std::to_string(*v) +
-                                    " out of range for categorical '" +
-                                    spec.name() + "'");
-        }
-        code = static_cast<int>(*v);
-      } else {
+      const int64_t* v = std::get_if<int64_t>(&cell);
+      if (v == nullptr) {
         return Status::InvalidArgument(
             "real cell given for categorical attribute '" + spec.name() + "'");
       }
-      *converted = static_cast<int64_t>(code);
+      if (*v < 0 || *v >= spec.num_groups()) {
+        return Status::OutOfRange("code " + std::to_string(*v) +
+                                  " out of range for categorical '" +
+                                  spec.name() + "'");
+      }
+      converted->integer = *v;
       return Status::OK();
     }
     case AttributeKind::kInteger: {
-      int64_t value = 0;
-      if (const int64_t* v = std::get_if<int64_t>(&cell)) {
-        value = *v;
-      } else if (const std::string* s = std::get_if<std::string>(&cell)) {
-        if (!ParseInt64(*s, &value)) {
-          return Status::InvalidArgument("cannot parse '" + *s +
-                                         "' as integer for attribute '" +
-                                         spec.name() + "'");
-        }
-      } else {
+      const int64_t* v = std::get_if<int64_t>(&cell);
+      if (v == nullptr) {
         return Status::InvalidArgument(
             "real cell given for integer attribute '" + spec.name() + "'");
       }
-      *converted = value;
+      converted->integer = *v;
       return Status::OK();
     }
     case AttributeKind::kReal: {
-      double value = 0.0;
-      if (const double* v = std::get_if<double>(&cell)) {
-        value = *v;
-      } else if (const int64_t* v = std::get_if<int64_t>(&cell)) {
-        value = static_cast<double>(*v);
-      } else {
-        const std::string& s = std::get<std::string>(cell);
-        if (!ParseDouble(s, &value)) {
-          return Status::InvalidArgument("cannot parse '" + s +
-                                         "' as real for attribute '" +
-                                         spec.name() + "'");
-        }
-      }
+      const double* v = std::get_if<double>(&cell);
+      converted->real =
+          v != nullptr ? *v : static_cast<double>(std::get<int64_t>(cell));
       // NaN/inf would make bucketization undefined behaviour downstream.
-      if (!std::isfinite(value)) {
-        return Status::InvalidArgument("non-finite value for attribute '" +
-                                       spec.name() + "'");
-      }
-      *converted = value;
+      if (!std::isfinite(converted->real)) return NonFinite(spec);
       return Status::OK();
     }
+  }
+  return Status::Internal("unreachable attribute kind");
+}
+
+}  // namespace
+
+Status ParseCellText(const AttributeSpec& spec, std::string_view text,
+                     CellValue* out) {
+  switch (spec.kind()) {
+    case AttributeKind::kCategorical: {
+      FAIRRANK_ASSIGN_OR_RETURN(out->integer, spec.CodeOf(text));
+      return Status::OK();
+    }
+    case AttributeKind::kInteger:
+      if (!ParseInt64(text, &out->integer)) {
+        return Status::InvalidArgument("cannot parse '" + std::string(text) +
+                                       "' as integer for attribute '" +
+                                       spec.name() + "'");
+      }
+      return Status::OK();
+    case AttributeKind::kReal:
+      if (!ParseDouble(text, &out->real)) {
+        return Status::InvalidArgument("cannot parse '" + std::string(text) +
+                                       "' as real for attribute '" +
+                                       spec.name() + "'");
+      }
+      // NaN/inf would make bucketization undefined behaviour downstream.
+      if (!std::isfinite(out->real)) return NonFinite(spec);
+      return Status::OK();
   }
   return Status::Internal("unreachable attribute kind");
 }
@@ -87,27 +101,30 @@ Status Table::AppendRow(const std::vector<Cell>& cells) {
   }
   // Two-phase append: validate/convert everything first so a mid-row failure
   // cannot leave columns with unequal lengths.
-  std::vector<Cell> converted(cells.size());
+  std::vector<CellValue> converted(cells.size());
   for (size_t i = 0; i < cells.size(); ++i) {
     FAIRRANK_RETURN_NOT_OK(
         ConvertCell(cells[i], schema_.attribute(i), &converted[i]));
   }
-  for (size_t i = 0; i < converted.size(); ++i) {
+  AppendValues(converted.data());
+  return Status::OK();
+}
+
+void Table::AppendValues(const CellValue* values) {
+  for (size_t i = 0; i < columns_.size(); ++i) {
     switch (schema_.attribute(i).kind()) {
       case AttributeKind::kCategorical:
-        columns_[i].AppendCode(
-            static_cast<int32_t>(std::get<int64_t>(converted[i])));
+        columns_[i].AppendCode(static_cast<int32_t>(values[i].integer));
         break;
       case AttributeKind::kInteger:
-        columns_[i].AppendInt(std::get<int64_t>(converted[i]));
+        columns_[i].AppendInt(values[i].integer);
         break;
       case AttributeKind::kReal:
-        columns_[i].AppendReal(std::get<double>(converted[i]));
+        columns_[i].AppendReal(values[i].real);
         break;
     }
   }
   ++num_rows_;
-  return Status::OK();
 }
 
 void Table::Reserve(size_t n) {

@@ -1,7 +1,9 @@
 #ifndef FAIRRANK_DATA_TABLE_H_
 #define FAIRRANK_DATA_TABLE_H_
 
+#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -9,6 +11,23 @@
 #include "data/schema.h"
 
 namespace fairrank {
+
+/// One cell converted to its column's representation: a category code or an
+/// integer in `integer`, a real in `real`.
+struct CellValue {
+  int64_t integer = 0;
+  double real = 0.0;
+};
+
+/// Converts the text of one cell to a value of `spec`: a category label
+/// (matched exactly), an integer, or a finite real (ParseInt64 /
+/// ParseDouble, which ignore surrounding whitespace). Fails with NotFound
+/// for an unknown label and InvalidArgument otherwise. Table::AppendRow's
+/// string cells and ReadCsv both convert through it.
+Status ParseCellText(const AttributeSpec& spec, std::string_view text,
+                     CellValue* out);
+
+struct CsvOptions;
 
 /// In-memory columnar table: a Schema plus one Column per attribute. This is
 /// the dataset abstraction every other module works against — the worker
@@ -56,9 +75,14 @@ class Table {
   std::string CellToString(size_t row, size_t attr_index) const;
 
  private:
-  /// Validates and converts one cell; does not mutate the table.
-  Status ConvertCell(const Cell& cell, const AttributeSpec& spec,
-                     Cell* converted) const;
+  /// ReadCsv appends the rows it converted with ParseCellText.
+  friend StatusOr<Table> ReadCsv(std::istream& in, const Schema& schema,
+                                 const CsvOptions& options);
+
+  /// Appends one row of values already converted for their attributes (by
+  /// ParseCellText, or AppendRow's checks), one per schema attribute in
+  /// order. Does not validate: an unconverted value corrupts the table.
+  void AppendValues(const CellValue* values);
 
   Schema schema_;
   std::vector<Column> columns_;

@@ -1,5 +1,8 @@
 #include "common/str_util.h"
 
+#include <cctype>
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace fairrank {
@@ -39,6 +42,18 @@ TEST(TrimTest, RemovesSurroundingWhitespace) {
   EXPECT_EQ(Trim("hi"), "hi");
   EXPECT_EQ(Trim("   "), "");
   EXPECT_EQ(Trim(""), "");
+}
+
+// Trim strips exactly the bytes std::isspace accepts in the C locale, and
+// no byte outside ASCII.
+TEST(TrimTest, StripsExactlyTheCLocaleSpaceBytes) {
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    const bool space = std::isspace(b) != 0;
+    EXPECT_EQ(IsAsciiSpace(c), space) << b;
+    const std::string padded = std::string(1, c) + "x" + std::string(1, c);
+    EXPECT_EQ(Trim(padded), space ? "x" : padded) << b;
+  }
 }
 
 TEST(StartsWithTest, Basics) {

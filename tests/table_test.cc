@@ -94,6 +94,41 @@ TEST(TableTest, StringCellsParseToNumerics) {
   EXPECT_DOUBLE_EQ(table.column(2).RealAt(0), 1.25);
 }
 
+// ParseCellText is the one text-to-value path: AppendRow's string cells and
+// ReadCsv both go through it, so their values and errors agree.
+TEST(TableTest, ParseCellTextConvertsAndNamesTheAttribute) {
+  const Schema schema = MakeTestSchema();
+  CellValue value;
+  ASSERT_TRUE(ParseCellText(schema.attribute(0), "Female", &value).ok());
+  EXPECT_EQ(value.integer, 1);
+  ASSERT_TRUE(ParseCellText(schema.attribute(1), " 64\t", &value).ok());
+  EXPECT_EQ(value.integer, 64);
+  ASSERT_TRUE(ParseCellText(schema.attribute(2), "1.25", &value).ok());
+  EXPECT_EQ(value.real, 1.25);
+
+  const std::vector<std::pair<std::string, Status>> failures = {
+      {" Male", Status::NotFound(
+                    "category ' Male' not in attribute 'Gender'")},
+      {"6x", Status::InvalidArgument(
+                 "cannot parse '6x' as integer for attribute 'Age'")},
+      {"", Status::InvalidArgument(
+               "cannot parse '' as real for attribute 'Rating'")},
+      {"-inf", Status::InvalidArgument(
+                   "non-finite value for attribute 'Rating'")},
+  };
+  const size_t attribute_of[] = {0, 1, 2, 2};
+  Table table(schema);
+  for (size_t i = 0; i < failures.size(); ++i) {
+    const auto& [text, want] = failures[i];
+    const AttributeSpec& spec = schema.attribute(attribute_of[i]);
+    EXPECT_EQ(ParseCellText(spec, text, &value), want);
+    std::vector<Cell> row = {std::string("Male"), int64_t{30}, 2.5};
+    row[attribute_of[i]] = text;
+    EXPECT_EQ(table.AppendRow(row), want);
+  }
+  EXPECT_EQ(table.num_rows(), 0u);
+}
+
 TEST(TableTest, IntCellAcceptedForRealColumn) {
   Table table(MakeTestSchema());
   ASSERT_TRUE(table.AppendRow({std::string("Male"), int64_t{20}, int64_t{4}})
