@@ -77,7 +77,7 @@ inline SuiteResult RunAndPrintGrid(
   borrowed.reserve(functions.size());
   for (const auto& fn : functions) borrowed.push_back(fn.get());
   SuiteOptions options;
-  options.seed = baseline_seed;
+  options.audit.seed = baseline_seed;
   options.num_threads = SuiteThreadsFromEnv();
   StatusOr<SuiteResult> result = suite.Run(borrowed, options);
   if (!result.ok()) {

@@ -33,7 +33,7 @@ int main() {
   SuiteOptions options;
   options.algorithms = {"balanced", "unbalanced", "all-attributes", "beam",
                         "merge"};
-  options.seed = 4;
+  options.audit.seed = 4;
   options.num_threads = SuiteThreadsFromEnv();
   StatusOr<SuiteResult> result = suite.Run(borrowed, options);
   if (!result.ok()) {

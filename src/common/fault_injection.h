@@ -20,9 +20,9 @@ namespace fault {
 ///   FAIRRANK_FAULT_DIVERGENCE_N=<n>    fail the nth divergence evaluation
 ///
 /// The hooks are wired into ExecutionContext::CheckMemory (allocation
-/// checkpoints) and ParallelFor / ParallelForCancellable (chunk faults), so
-/// armed faults exercise exactly the degradation paths production failures
-/// would: budget trips, captured worker exceptions, and deadline overruns.
+/// checkpoints) and ParallelForCancellable (chunk faults), so armed faults
+/// exercise exactly the degradation paths production failures would: budget
+/// trips, captured worker exceptions, and deadline overruns.
 struct FaultPlan {
   /// Fail the nth (1-based) allocation checkpoint; 0 disables.
   int64_t fail_alloc_checkpoint = 0;

@@ -22,12 +22,12 @@ namespace {
 
 // Not worth spawning threads for tiny ranges.
 constexpr size_t kMinPerThread = 64;
-// Stop-check granularity of the cancellable variant: small enough that a
+// Stop-check granularity of ParallelForCancellable: small enough that a
 // cancelled audit stops within microseconds of real work, large enough that
 // the deadline clock read is amortized away.
 constexpr size_t kStopCheckBlock = 1024;
 
-/// Exception channel shared by the workers of one ParallelFor: keeps only
+/// Exception channel shared by the workers of one parallel loop: keeps only
 /// the exception from the lowest chunk index, so the rethrown error is
 /// deterministic no matter which worker faults first in wall-clock order.
 class ExceptionChannel {
@@ -56,16 +56,12 @@ class ExceptionChannel {
   std::exception_ptr error_ FAIRRANK_GUARDED_BY(mutex_);
 };
 
-/// Runs one chunk, optionally in stop-checked blocks. Returns false when
-/// stopped early. May throw (body or injected fault).
-bool RunChunk(size_t chunk_index, size_t begin, size_t end, bool stoppable,
+/// Runs one chunk in stop-checked blocks. Returns false when stopped
+/// early. May throw (body or injected fault).
+bool RunChunk(size_t chunk_index, size_t begin, size_t end,
               const CancellationToken& cancel, const Deadline& deadline,
               const std::function<void(size_t, size_t)>& body) {
   fault::OnParallelChunk(chunk_index, cancel);
-  if (!stoppable) {
-    body(begin, end);
-    return true;
-  }
   for (size_t b = begin; b < end; b += kStopCheckBlock) {
     if (cancel.cancel_requested() || deadline.Expired()) return false;
     body(b, std::min(end, b + kStopCheckBlock));
@@ -73,16 +69,19 @@ bool RunChunk(size_t chunk_index, size_t begin, size_t end, bool stoppable,
   return true;
 }
 
-/// Shared driver. Joins every worker before returning or rethrowing; the
-/// exception from the lowest chunk index wins (see ExceptionChannel).
-bool Run(size_t n, int num_threads, bool stoppable,
-         const CancellationToken& cancel, const Deadline& deadline,
-         const std::function<void(size_t, size_t)>& body) {
+}  // namespace
+
+/// Joins every worker before returning or rethrowing; the exception from the
+/// lowest chunk index wins (see ExceptionChannel).
+bool ParallelForCancellable(size_t n, int num_threads,
+                            const CancellationToken& cancel,
+                            const Deadline& deadline,
+                            const std::function<void(size_t, size_t)>& body) {
   if (n == 0) return true;
   size_t usable = std::min<size_t>(static_cast<size_t>(std::max(num_threads, 1)),
                                    (n + kMinPerThread - 1) / kMinPerThread);
   if (usable <= 1) {
-    return RunChunk(0, 0, n, stoppable, cancel, deadline, body);
+    return RunChunk(0, 0, n, cancel, deadline, body);
   }
   std::vector<std::thread> workers;
   workers.reserve(usable - 1);
@@ -95,7 +94,7 @@ bool Run(size_t n, int num_threads, bool stoppable,
     if (begin >= end) break;
     workers.emplace_back([&, t, begin, end]() {
       try {
-        if (!RunChunk(t, begin, end, stoppable, cancel, deadline, body)) {
+        if (!RunChunk(t, begin, end, cancel, deadline, body)) {
           complete.store(false, std::memory_order_relaxed);
         }
       } catch (...) {
@@ -104,8 +103,7 @@ bool Run(size_t n, int num_threads, bool stoppable,
     });
   }
   try {
-    if (!RunChunk(0, 0, std::min(n, chunk), stoppable, cancel, deadline,
-                  body)) {
+    if (!RunChunk(0, 0, std::min(n, chunk), cancel, deadline, body)) {
       complete.store(false, std::memory_order_relaxed);
     }
   } catch (...) {
@@ -115,8 +113,6 @@ bool Run(size_t n, int num_threads, bool stoppable,
   errors.RethrowIfSet();
   return complete.load(std::memory_order_relaxed);
 }
-
-}  // namespace
 
 void ParallelForEach(size_t n, int num_threads,
                      const std::function<void(size_t)>& task) {
@@ -146,19 +142,6 @@ void ParallelForEach(size_t n, int num_threads,
   drain();
   for (std::thread& w : workers) w.join();
   errors.RethrowIfSet();
-}
-
-void ParallelFor(size_t n, int num_threads,
-                 const std::function<void(size_t, size_t)>& body) {
-  Run(n, num_threads, /*stoppable=*/false, CancellationToken(),
-      Deadline::Infinite(), body);
-}
-
-bool ParallelForCancellable(size_t n, int num_threads,
-                            const CancellationToken& cancel,
-                            const Deadline& deadline,
-                            const std::function<void(size_t, size_t)>& body) {
-  return Run(n, num_threads, /*stoppable=*/true, cancel, deadline, body);
 }
 
 }  // namespace fairrank

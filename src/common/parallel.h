@@ -11,7 +11,13 @@ namespace fairrank {
 /// Runs `body(begin, end)` over a partition of [0, n) across up to
 /// `num_threads` worker threads (including the calling thread) and joins.
 /// With num_threads <= 1 or tiny n the body runs inline — callers never
-/// need a special single-threaded path.
+/// need a special single-threaded path. Each worker processes its chunk in
+/// small blocks and stops between blocks once `cancel` is requested or
+/// `deadline` expires, so a cancelled audit actually stops its workers
+/// instead of finishing the full range. Returns true if the whole range was
+/// processed, false on an early stop (an unspecified tail of each chunk
+/// unprocessed — partial results must be discarded). Pass a default token
+/// and Deadline::Infinite() to always run the whole range.
 ///
 /// Exception safety: every worker is joined even if bodies throw; the first
 /// exception (by chunk index, deterministic) is rethrown on the calling
@@ -19,15 +25,6 @@ namespace fairrank {
 /// wrap the call in try/catch.
 ///
 /// `body` must be safe to call concurrently on disjoint ranges.
-void ParallelFor(size_t n, int num_threads,
-                 const std::function<void(size_t, size_t)>& body);
-
-/// Cancellable ParallelFor: each worker processes its chunk in small blocks
-/// and stops between blocks once `cancel` is requested or `deadline`
-/// expires, so a cancelled audit actually stops its workers instead of
-/// finishing the full range. Returns true if the whole range was processed,
-/// false on an early stop (an unspecified tail of each chunk unprocessed —
-/// partial results must be discarded). Exception behavior as ParallelFor.
 bool ParallelForCancellable(size_t n, int num_threads,
                             const CancellationToken& cancel,
                             const Deadline& deadline,
@@ -38,7 +35,8 @@ bool ParallelForCancellable(size_t n, int num_threads,
 /// workers (including the calling thread) with *dynamic* scheduling — each
 /// worker pulls the next unclaimed index from a shared atomic counter, so a
 /// slow item (the paper's `balanced` algorithm dominates a grid) never idles
-/// the other workers the way ParallelFor's static chunking would. With
+/// the other workers the way ParallelForCancellable's static chunking
+/// would. With
 /// num_threads <= 1 or n <= 1 the tasks run inline in index order.
 ///
 /// Exception behavior is uniform across thread counts: a throwing task

@@ -489,9 +489,9 @@ StatusOr<CellStore> BuildCellStoreParallel(const Table& table,
   std::vector<CellStoreShard> shards(num_shards);
   try {
     ParallelForEach(num_shards, threads, [&](size_t s) {
-      // ParallelForEach doesn't run the chunk fault hook itself (ParallelFor
-      // does); call it here so armed FAIRRANK_FAULT_* plans exercise the
-      // ingest shards like any other parallel stage.
+      // ParallelForEach doesn't run the chunk fault hook itself
+      // (ParallelForCancellable does); call it here so armed FAIRRANK_FAULT_*
+      // plans exercise the ingest shards like any other parallel stage.
       fault::OnParallelChunk(s, bounded.cancel());
       size_t begin = rows * s / num_shards;
       size_t end = rows * (s + 1) / num_shards;

@@ -226,7 +226,8 @@ Status UnfairnessEvaluator::RunCancellable(
                                       options_.deadline, body);
   } catch (const std::exception& e) {
     // Worker exceptions (including injected faults) are captured by
-    // ParallelFor and rethrown here; keep them inside the Status API.
+    // ParallelForCancellable and rethrown here; keep them inside the Status
+    // API.
     return Status::Internal(std::string("pairwise unfairness worker: ") +
                             e.what());
   }

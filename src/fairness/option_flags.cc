@@ -80,27 +80,52 @@ StatusOr<int> GetBoundedInt(const FlagParser& flags, const std::string& name,
   return static_cast<int>(value);
 }
 
+StatusOr<EvaluatorOptions> EvaluatorOptionsFromFlags(const FlagParser& flags) {
+  EvaluatorOptions options;
+  FAIRRANK_ASSIGN_OR_RETURN(options.num_bins,
+                            GetBoundedInt(flags, "bins", 10, 1, kMaxBins));
+  options.divergence = flags.GetString("divergence", "emd");
+  return options;
+}
+
+namespace {
+
+/// Splits a comma-separated flag value into trimmed names; an absent or
+/// empty flag is an empty list.
+std::vector<std::string> ListFlag(const FlagParser& flags,
+                                  const std::string& name) {
+  std::vector<std::string> items;
+  std::string value = flags.GetString(name, "");
+  if (value.empty()) return items;
+  for (const std::string& item : Split(value, ',')) {
+    items.emplace_back(Trim(item));
+  }
+  return items;
+}
+
+/// Every audit flag except `algorithm`, over the defaults in `options`.
+Status ReadAuditFlags(const FlagParser& flags, AuditOptions* options) {
+  FAIRRANK_ASSIGN_OR_RETURN(options->evaluator,
+                            EvaluatorOptionsFromFlags(flags));
+  FAIRRANK_ASSIGN_OR_RETURN(int64_t seed, flags.GetInt("seed", 0));
+  options->seed = static_cast<uint64_t>(seed);
+  FAIRRANK_ASSIGN_OR_RETURN(
+      options->beam_width,
+      GetBoundedInt(flags, "beam-width", 3, kIntMin, kIntMax));
+  FAIRRANK_ASSIGN_OR_RETURN(
+      options->evaluator.num_threads,
+      GetBoundedInt(flags, "threads", 1, kIntMin, kIntMax));
+  options->protected_attributes = ListFlag(flags, "attributes");
+  FAIRRANK_ASSIGN_OR_RETURN(options->limits, ParseExecutionLimits(flags));
+  return Status::OK();
+}
+
+}  // namespace
+
 StatusOr<AuditOptions> AuditOptionsFromFlags(const FlagParser& flags) {
   AuditOptions options;
   options.algorithm = flags.GetString("algorithm", "balanced");
-  FAIRRANK_ASSIGN_OR_RETURN(options.evaluator.num_bins,
-                            GetBoundedInt(flags, "bins", 10, 1, kMaxBins));
-  options.evaluator.divergence = flags.GetString("divergence", "emd");
-  FAIRRANK_ASSIGN_OR_RETURN(int64_t seed, flags.GetInt("seed", 0));
-  options.seed = static_cast<uint64_t>(seed);
-  FAIRRANK_ASSIGN_OR_RETURN(
-      options.beam_width,
-      GetBoundedInt(flags, "beam-width", 3, kIntMin, kIntMax));
-  FAIRRANK_ASSIGN_OR_RETURN(
-      options.evaluator.num_threads,
-      GetBoundedInt(flags, "threads", 1, kIntMin, kIntMax));
-  std::string attrs = flags.GetString("attributes", "");
-  if (!attrs.empty()) {
-    for (const std::string& name : Split(attrs, ',')) {
-      options.protected_attributes.emplace_back(Trim(name));
-    }
-  }
-  FAIRRANK_ASSIGN_OR_RETURN(options.limits, ParseExecutionLimits(flags));
+  FAIRRANK_RETURN_NOT_OK(ReadAuditFlags(flags, &options));
   return options;
 }
 
@@ -111,6 +136,40 @@ const std::vector<std::string>& AuditOptionFlagNames() {
       "max-nodes",  "max-memory-mb",
   };
   return *names;
+}
+
+StatusOr<SuiteOptions> SuiteOptionsFromFlags(const FlagParser& flags) {
+  SuiteOptions options;
+  FAIRRANK_RETURN_NOT_OK(ReadAuditFlags(flags, &options.audit));
+  options.algorithms = ListFlag(flags, "algorithms");
+  FAIRRANK_ASSIGN_OR_RETURN(
+      options.num_threads,
+      GetBoundedInt(flags, "suite-threads", 1, 0, kIntMax));
+  return options;
+}
+
+const std::vector<std::string>& SuiteOptionFlagNames() {
+  static const std::vector<std::string>* names = [] {
+    auto* suite = new std::vector<std::string>{"algorithms", "suite-threads"};
+    for (const std::string& name : AuditOptionFlagNames()) {
+      if (name != "algorithm") suite->push_back(name);
+    }
+    return suite;
+  }();
+  return *names;
+}
+
+StatusOr<std::vector<std::unique_ptr<ScoringFunction>>> FunctionsFromFlags(
+    const FlagParser& flags) {
+  std::vector<std::unique_ptr<ScoringFunction>> functions;
+  // No empty-list shortcut: `--functions=` fails on its empty spec.
+  for (const std::string& spec :
+       Split(flags.GetString("functions", kDefaultSuiteFunctions), ',')) {
+    FAIRRANK_ASSIGN_OR_RETURN(std::unique_ptr<ScoringFunction> fn,
+                              MakeFunctionFromSpec(std::string(Trim(spec))));
+    functions.push_back(std::move(fn));
+  }
+  return functions;
 }
 
 }  // namespace fairrank

@@ -11,6 +11,7 @@
 #include "common/flags.h"
 #include "common/status.h"
 #include "fairness/auditor.h"
+#include "fairness/suite.h"
 #include "marketplace/scoring.h"
 
 namespace fairrank {
@@ -49,6 +50,12 @@ inline constexpr int64_t kIntMax = std::numeric_limits<int>::max();
 /// for millions. Ten times the 100 bins bench/ablation_bins sweeps up to.
 inline constexpr int64_t kMaxBins = 1000;
 
+/// Parses `--bins` (in [1, kMaxBins], default 10) and `--divergence`
+/// (default "emd") into EvaluatorOptions; the other fields keep their
+/// defaults. AuditOptionsFromFlags reads the evaluator through this, and so
+/// does every command that takes only these two flags.
+StatusOr<EvaluatorOptions> EvaluatorOptionsFromFlags(const FlagParser& flags);
+
 /// Parses the audit-shaping flags (algorithm, bins, divergence, seed,
 /// beam-width, threads, attributes) plus ParseExecutionLimits into
 /// AuditOptions. `bins` must lie in [1, kMaxBins]; `beam-width` and
@@ -60,6 +67,27 @@ StatusOr<AuditOptions> AuditOptionsFromFlags(const FlagParser& flags);
 /// their own surface-specific flags and pass the union to
 /// ValidateKnownFlags so misspellings fail instead of silently defaulting.
 const std::vector<std::string>& AuditOptionFlagNames();
+
+/// Parses a suite grid: every audit flag except `algorithm` (each cell
+/// names its own) into SuiteOptions::audit, plus `algorithms`
+/// (comma-separated; absent = the paper's five) and `suite-threads`
+/// (in [0, kIntMax], default 1). Errors as AuditOptionsFromFlags.
+StatusOr<SuiteOptions> SuiteOptionsFromFlags(const FlagParser& flags);
+
+/// Exact set of flag names SuiteOptionsFromFlags consumes:
+/// AuditOptionFlagNames() without `algorithm`, plus `algorithms` and
+/// `suite-threads`.
+const std::vector<std::string>& SuiteOptionFlagNames();
+
+/// The `--functions` list of a suite when the flag is absent.
+inline constexpr char kDefaultSuiteFunctions[] =
+    "alpha:0.25,alpha:0.5,alpha:0.75";
+
+/// The scoring functions of `--functions`: comma-separated specs for
+/// MakeFunctionFromSpec, kDefaultSuiteFunctions when absent. `weights:`
+/// specs contain commas, so they cannot appear in the list.
+StatusOr<std::vector<std::unique_ptr<ScoringFunction>>> FunctionsFromFlags(
+    const FlagParser& flags);
 
 }  // namespace fairrank
 

@@ -42,9 +42,13 @@ StatusOr<SuiteResult> AuditSuite::Run(
   }
   // Unknown algorithm names are a configuration error of the whole grid, so
   // they fail the run up-front instead of failing A cells one by one.
+  AlgorithmConfig config;
+  config.seed = options.audit.seed;
+  config.exhaustive = options.audit.exhaustive;
+  config.beam_width = options.audit.beam_width;
   for (const std::string& name : result.algorithms) {
     FAIRRANK_ASSIGN_OR_RETURN(std::unique_ptr<PartitioningAlgorithm> probe,
-                              MakeAlgorithmByName(name, AlgorithmConfig()));
+                              MakeAlgorithmByName(name, config));
     (void)probe;  // Only the name resolution matters here.
   }
 
@@ -54,14 +58,14 @@ StatusOr<SuiteResult> AuditSuite::Run(
   // Arm the suite deadline once so every cell shares it; cells reached
   // after expiry degrade instantly instead of each getting a fresh
   // allowance. A caller-armed deadline and timeout_ms compose — the earlier
-  // of the two wins (see SuiteOptions::limits).
-  const Deadline deadline = options.limits.EffectiveDeadline();
+  // of the two wins (see SuiteOptions::audit).
+  const Deadline deadline = options.audit.limits.EffectiveDeadline();
 
   // One parent budget bounds the aggregate work: every cell gets a
   // locally-unlimited child charging through to it, so the grid
   // respects the user's total --max-nodes/--max-memory-mb while the child
   // counters keep per-cell observability.
-  ResourceBudget parent_budget = options.limits.MakeBudget();
+  ResourceBudget parent_budget = options.audit.limits.MakeBudget();
 
   // Score each function once per column.
   std::vector<ColumnState> columns(num_functions);
@@ -93,17 +97,18 @@ StatusOr<SuiteResult> AuditSuite::Run(
           cell.error = columns[f].status;
           return;
         }
-        AuditOptions audit_options;
+        AuditOptions audit_options = options.audit;
         audit_options.algorithm = result.algorithms[a];
-        audit_options.evaluator = options.evaluator;
-        audit_options.seed = options.seed + f;
-        audit_options.protected_attributes = options.protected_attributes;
+        audit_options.seed = options.audit.seed + f;
         audit_options.num_worst_pairs = 0;
+        // The grid-wide limits are already in `deadline` and
+        // `parent_budget`; the cell's own caps stay 0 (unlimited).
+        audit_options.limits = ExecutionLimits();
         audit_options.limits.deadline = deadline;
-        audit_options.limits.cancel = options.limits.cancel;
+        audit_options.limits.cancel = options.audit.limits.cancel;
         // Spans from every cell land on the caller's trace (the recorder is
         // thread-safe); each cell's "audit" root carries its own subtree.
-        audit_options.limits.trace = options.limits.trace;
+        audit_options.limits.trace = options.audit.limits.trace;
         audit_options.limits.parent_budget = &parent_budget;
         StatusOr<AuditResult> audit = Status::Internal("audit not run");
         try {

@@ -12,25 +12,22 @@ namespace fairrank {
 /// Configuration of a comparative audit grid (the shape of the paper's
 /// Tables 1-3: rows = algorithms, columns = scoring functions).
 struct SuiteOptions {
+  /// The template every cell audits with. Cell (a, f) runs a copy with
+  /// three fields replaced: `algorithm` (row a), `seed` (offset to
+  /// seed + f, so every algorithm sees the same randomized stream per
+  /// function) and `num_worst_pairs` (0: the grid reports none).
+  ///
+  /// `limits` bound the whole grid, not each cell. The deadline is
+  /// *shared*: it is armed once before the first cell, so a 10s timeout
+  /// bounds the grid (late cells degrade to truncated best-so-far answers,
+  /// keeping the grid complete). When both a pre-armed finite `deadline`
+  /// and a positive `timeout_ms` are supplied, the *earlier* of the two
+  /// wins. The node/memory budgets bound the *aggregate* work of all cells:
+  /// every cell charges one shared hierarchical budget, and cells reached
+  /// after exhaustion degrade to truncated best-so-far answers.
+  AuditOptions audit;
   /// Algorithm names; empty means the paper's five (PaperAlgorithmNames).
   std::vector<std::string> algorithms;
-  /// Evaluator configuration shared by every cell.
-  EvaluatorOptions evaluator;
-  /// Base seed; cell (a, f) derives seed + f for its randomized baseline so
-  /// every algorithm sees the same stream per function.
-  uint64_t seed = 0;
-  /// Restrict the searched protected attributes (empty = all).
-  std::vector<std::string> protected_attributes;
-  /// Execution limits for the grid. The deadline is *shared*: it is armed
-  /// once before the first cell, so a 10s timeout bounds the whole grid
-  /// (late cells degrade to truncated best-so-far answers, keeping the grid
-  /// complete). Precedence: when both a pre-armed finite `deadline` and a
-  /// positive `timeout_ms` are supplied, the *earlier* of the two wins —
-  /// neither overrides the other. The node/memory budgets bound the
-  /// *aggregate* work of all cells: every cell charges one shared
-  /// hierarchical budget, and cells reached after exhaustion degrade to
-  /// truncated best-so-far answers, keeping the grid complete.
-  ExecutionLimits limits;
   /// Worker threads for the grid itself: cells are dispatched onto a
   /// dynamically scheduled pool (ParallelForEach), results assembled in
   /// deterministic (algorithm, function) order regardless of completion

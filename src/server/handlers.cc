@@ -81,10 +81,8 @@ std::vector<std::string> KnownAuditParams() {
 }
 
 std::vector<std::string> KnownSuiteParams() {
-  std::vector<std::string> known = AuditOptionFlagNames();
+  std::vector<std::string> known = SuiteOptionFlagNames();
   known.push_back("functions");
-  known.push_back("algorithms");
-  known.push_back("suite-threads");
   known.push_back("dataset");
   return known;
 }
@@ -135,38 +133,20 @@ StatusOr<HandlerResult> RunSuite(const ServerEnv& env,
   FAIRRANK_ASSIGN_OR_RETURN(FlagParser flags, RequestFlags(request));
   FAIRRANK_RETURN_NOT_OK(ValidateKnownFlags(flags, KnownSuiteParams()));
   FAIRRANK_ASSIGN_OR_RETURN(const Table* table, ResolveDataset(env, flags));
-  FAIRRANK_ASSIGN_OR_RETURN(AuditOptions audit_options,
-                            AuditOptionsFromFlags(flags));
-
-  std::vector<std::unique_ptr<ScoringFunction>> owned;
-  std::vector<const ScoringFunction*> functions;
-  for (const std::string& spec :
-       Split(flags.GetString("functions", "alpha:0.25,alpha:0.5,alpha:0.75"),
-             ',')) {
-    FAIRRANK_ASSIGN_OR_RETURN(std::unique_ptr<ScoringFunction> fn,
-                              MakeFunctionFromSpec(std::string(Trim(spec))));
-    owned.push_back(std::move(fn));
-    functions.push_back(owned.back().get());
-  }
-
-  SuiteOptions options;
-  std::string algorithms = flags.GetString("algorithms", "");
-  if (!algorithms.empty()) {
-    for (const std::string& name : Split(algorithms, ',')) {
-      options.algorithms.emplace_back(Trim(name));
-    }
-  }
-  options.evaluator = audit_options.evaluator;
-  options.seed = audit_options.seed;
-  options.protected_attributes = audit_options.protected_attributes;
-  options.limits = audit_options.limits;
-  ComposeLimits(env, flags, &options.limits);
-  options.limits.trace = trace;
-  options.evaluator.num_threads =
-      ClampThreads(options.evaluator.num_threads, env.max_request_threads);
+  FAIRRANK_ASSIGN_OR_RETURN(SuiteOptions options,
+                            SuiteOptionsFromFlags(flags));
   FAIRRANK_ASSIGN_OR_RETURN(
-      int suite_threads, GetBoundedInt(flags, "suite-threads", 1, 0, kIntMax));
-  options.num_threads = ClampThreads(suite_threads, env.max_request_threads);
+      std::vector<std::unique_ptr<ScoringFunction>> owned,
+      FunctionsFromFlags(flags));
+  std::vector<const ScoringFunction*> functions;
+  for (const auto& fn : owned) functions.push_back(fn.get());
+
+  ComposeLimits(env, flags, &options.audit.limits);
+  options.audit.limits.trace = trace;
+  options.audit.evaluator.num_threads = ClampThreads(
+      options.audit.evaluator.num_threads, env.max_request_threads);
+  options.num_threads =
+      ClampThreads(options.num_threads, env.max_request_threads);
   AuditSuite suite(table);
   FAIRRANK_ASSIGN_OR_RETURN(SuiteResult result,
                             suite.Run(functions, options));

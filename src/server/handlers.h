@@ -62,8 +62,9 @@ HandlerResult HandleAudit(const ServerEnv& env, const HttpRequest& request,
                           TraceContext* trace = nullptr);
 
 /// GET/POST /suite — an algorithms × functions grid over a loaded dataset.
-/// Accepts the audit parameters plus `functions`, `algorithms` and
-/// `suite-threads` (clamped to max_request_threads).
+/// Accepts SuiteOptionFlagNames() (the audit parameters without
+/// `algorithm`, plus `algorithms` and `suite-threads`, clamped to
+/// max_request_threads), `functions` and `dataset`.
 /// Failed cells degrade inside the grid (SuiteCell::error); the response is
 /// 200 unless the grid itself cannot be configured.
 /// `trace` as in HandleAudit (cells record spans concurrently; the trace

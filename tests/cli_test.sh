@@ -143,6 +143,36 @@ fi
 grep -q '"truncated":true,"exhaustion_reason":"node-budget"' \
   "$WORKDIR/aggregate_budget.json" || fail "aggregate node budget truncates"
 
+# suite cells run the audit flags: --beam-width reaches every beam cell, so
+# its f7 cell visits the nodes of the direct beam audit at that width.
+for WIDTH in 1 8; do
+  SUITE_NODES=$("$FAIRAUDIT" suite --input "$WORKDIR/w.csv" --functions f7 \
+    --algorithms beam --beam-width "$WIDTH" --json \
+    | grep -o '"nodes_visited":[0-9]*' | head -1)
+  AUDIT_NODES=$("$FAIRAUDIT" audit --input "$WORKDIR/w.csv" --function f7 \
+    --algorithm beam --beam-width "$WIDTH" --json \
+    | grep -o '"nodes_visited":[0-9]*')
+  [ -n "$SUITE_NODES" ] && [ "$SUITE_NODES" = "$AUDIT_NODES" ] \
+    || fail "suite beam cell at width $WIDTH ($SUITE_NODES vs $AUDIT_NODES)"
+done
+
+# suite takes --algorithms; the single-audit --algorithm is an unknown flag.
+if "$FAIRAUDIT" suite --input "$WORKDIR/w.csv" --algorithm merge \
+  > "$WORKDIR/suite_algorithm.out" 2>&1; then
+  fail "suite --algorithm should be rejected"
+fi
+grep -q "unknown flag --algorithm" "$WORKDIR/suite_algorithm.out" \
+  || fail "suite --algorithm names the flag"
+
+# no command: usage on stderr lists every command, exit 2.
+STATUS=0
+"$FAIRAUDIT" > /dev/null 2> "$WORKDIR/usage.err" || STATUS=$?
+[ "$STATUS" -eq 2 ] || fail "no command exits 2 (got $STATUS)"
+grep -q "catalog" "$WORKDIR/usage.err" || fail "usage lists catalog"
+STATUS=0
+"$FAIRAUDIT" nosuch > /dev/null 2>&1 || STATUS=$?
+[ "$STATUS" -eq 2 ] || fail "unknown command exits 2 (got $STATUS)"
+
 # a misspelled flag must fail loudly, not silently run an unbounded audit.
 if "$FAIRAUDIT" audit --input "$WORKDIR/w.csv" --function f6 \
   --max-node 100 > /dev/null 2>&1; then

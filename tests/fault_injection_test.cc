@@ -71,16 +71,19 @@ TEST(FaultInjectionTest, WorkerExceptionRethrownOnCallingThread) {
   fault::FaultPlan plan;
   plan.throw_in_chunk = 1;  // A spawned worker, not the calling thread.
   fault::ScopedFaultPlan scoped(plan);
-  EXPECT_THROW(
-      ParallelFor(10'000, 4, [](size_t, size_t) {}),
-      std::runtime_error);
+  EXPECT_THROW(ParallelForCancellable(10'000, 4, CancellationToken(),
+                                      Deadline::Infinite(),
+                                      [](size_t, size_t) {}),
+               std::runtime_error);
 }
 
 TEST(FaultInjectionTest, CallingThreadExceptionAlsoPropagates) {
   fault::FaultPlan plan;
   plan.throw_in_chunk = 0;  // Chunk 0 runs inline on the calling thread.
   fault::ScopedFaultPlan scoped(plan);
-  EXPECT_THROW(ParallelFor(100, 1, [](size_t, size_t) {}),
+  EXPECT_THROW(ParallelForCancellable(100, 1, CancellationToken(),
+                                      Deadline::Infinite(),
+                                      [](size_t, size_t) {}),
                std::runtime_error);
 }
 
@@ -91,9 +94,12 @@ TEST(FaultInjectionTest, SurvivingChunksStillJoinAfterAThrow) {
   const size_t n = 10'000;
   std::vector<std::atomic<int>> hits(n);
   try {
-    ParallelFor(n, 4, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-    });
+    ParallelForCancellable(n, 4, CancellationToken(), Deadline::Infinite(),
+                           [&](size_t begin, size_t end) {
+                             for (size_t i = begin; i < end; ++i) {
+                               hits[i].fetch_add(1);
+                             }
+                           });
     FAIL() << "expected the injected exception";
   } catch (const std::runtime_error&) {
   }

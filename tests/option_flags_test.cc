@@ -7,6 +7,8 @@
 
 #include "fairness/option_flags.h"
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -167,6 +169,94 @@ TEST(AuditOptionsFromFlagsTest, FlagNamesCoverEveryConsumedFlag) {
         "attributes", "timeout-ms", "max-nodes", "max-memory-mb"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), flag), names.end())
         << flag << " missing from AuditOptionFlagNames()";
+  }
+}
+
+TEST(SuiteOptionsFromFlagsTest, RejectsOutOfRangeSuiteThreads) {
+  for (const char* value : {"-1", "2147483648", "9223372036854775808", ""}) {
+    FlagParser flags = MustParse({{"suite-threads", value}});
+    StatusOr<SuiteOptions> options = SuiteOptionsFromFlags(flags);
+    ASSERT_FALSE(options.ok()) << "suite-threads=" << value;
+    EXPECT_EQ(options.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(options.status().ToString().find("--suite-threads"),
+              std::string::npos)
+        << options.status().ToString();
+  }
+}
+
+TEST(SuiteOptionsFromFlagsTest, ReadsTheAuditFlagsIntoTheTemplate) {
+  FlagParser flags = MustParse({{"algorithms", "beam, balanced"},
+                                {"suite-threads", "0"},
+                                {"beam-width", "8"},
+                                {"bins", "12"},
+                                {"seed", "4"},
+                                {"attributes", "Gender,Country"},
+                                {"max-nodes", "9"}});
+  StatusOr<SuiteOptions> options = SuiteOptionsFromFlags(flags);
+  ASSERT_TRUE(options.ok()) << options.status().ToString();
+  EXPECT_EQ(options->algorithms,
+            (std::vector<std::string>{"beam", "balanced"}));
+  EXPECT_EQ(options->num_threads, 0);
+  EXPECT_EQ(options->audit.beam_width, 8);
+  EXPECT_EQ(options->audit.evaluator.num_bins, 12);
+  EXPECT_EQ(options->audit.seed, 4u);
+  EXPECT_EQ(options->audit.protected_attributes,
+            (std::vector<std::string>{"Gender", "Country"}));
+  EXPECT_EQ(options->audit.limits.max_nodes, 9u);
+  // The audit flags fail the suite exactly as they fail an audit.
+  StatusOr<SuiteOptions> bad = SuiteOptionsFromFlags(
+      MustParse({{"bins", std::to_string(kMaxBins + 1)}}));
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().ToString().find("--bins"), std::string::npos);
+}
+
+TEST(SuiteOptionsFromFlagsTest, FlagNamesCoverEveryConsumedFlag) {
+  // The suite reads every audit flag but `algorithm` (cells name their own)
+  // plus its two grid flags, and publishes exactly that set.
+  const std::vector<std::string>& names = SuiteOptionFlagNames();
+  for (const char* flag :
+       {"algorithms", "suite-threads", "bins", "divergence", "seed",
+        "beam-width", "threads", "attributes", "timeout-ms", "max-nodes",
+        "max-memory-mb"}) {
+    EXPECT_NE(std::find(names.begin(), names.end(), flag), names.end())
+        << flag << " missing from SuiteOptionFlagNames()";
+  }
+  EXPECT_EQ(std::find(names.begin(), names.end(), "algorithm"), names.end());
+  EXPECT_EQ(names.size(), AuditOptionFlagNames().size() + 1);
+}
+
+TEST(EvaluatorOptionsFromFlagsTest, DefaultsAndBinsBound) {
+  StatusOr<EvaluatorOptions> defaults =
+      EvaluatorOptionsFromFlags(MustParse({}));
+  ASSERT_TRUE(defaults.ok());
+  EXPECT_EQ(defaults->num_bins, 10);
+  EXPECT_EQ(defaults->divergence, "emd");
+  StatusOr<EvaluatorOptions> tv =
+      EvaluatorOptionsFromFlags(MustParse({{"divergence", "tv"}}));
+  ASSERT_TRUE(tv.ok());
+  EXPECT_EQ(tv->divergence, "tv");
+  StatusOr<EvaluatorOptions> too_many = EvaluatorOptionsFromFlags(
+      MustParse({{"bins", std::to_string(kMaxBins + 1)}}));
+  ASSERT_FALSE(too_many.ok());
+  EXPECT_NE(too_many.status().ToString().find("--bins"), std::string::npos);
+}
+
+TEST(FunctionsFromFlagsTest, DefaultListAndRejectedSpecs) {
+  StatusOr<std::vector<std::unique_ptr<ScoringFunction>>> defaults =
+      FunctionsFromFlags(MustParse({}));
+  ASSERT_TRUE(defaults.ok()) << defaults.status().ToString();
+  std::vector<std::string> names;
+  for (const auto& fn : *defaults) names.push_back(fn->Name());
+  EXPECT_EQ(names, (std::vector<std::string>{"alpha=0.25", "alpha=0.50",
+                                             "alpha=0.75"}));
+  StatusOr<std::vector<std::unique_ptr<ScoringFunction>>> listed =
+      FunctionsFromFlags(MustParse({{"functions", "f6, alpha:0.5"}}));
+  ASSERT_TRUE(listed.ok()) << listed.status().ToString();
+  ASSERT_EQ(listed->size(), 2u);
+  EXPECT_EQ((*listed)[1]->Name(), "alpha=0.50");
+  for (const char* value : {"", "f6,nosuch"}) {
+    EXPECT_FALSE(FunctionsFromFlags(MustParse({{"functions", value}})).ok())
+        << "functions=" << value;
   }
 }
 

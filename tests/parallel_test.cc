@@ -1,6 +1,7 @@
 #include "common/parallel.h"
 
 #include <atomic>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -16,63 +17,63 @@
 namespace fairrank {
 namespace {
 
-TEST(ParallelForTest, CoversRangeExactlyOnce) {
-  const size_t n = 10'000;
-  std::vector<std::atomic<int>> hits(n);
-  ParallelFor(n, 4, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-  });
-  for (size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+/// Runs the whole range: a default token and an infinite deadline never
+/// stop the loop early.
+bool RunAll(size_t n, int num_threads,
+            const std::function<void(size_t, size_t)>& body) {
+  return ParallelForCancellable(n, num_threads, CancellationToken(),
+                                Deadline::Infinite(), body);
 }
 
-TEST(ParallelForTest, ZeroElementsNoCall) {
+TEST(ParallelForCancellableTest, ZeroElementsNoCall) {
   bool called = false;
-  ParallelFor(0, 4, [&](size_t, size_t) { called = true; });
+  EXPECT_TRUE(RunAll(0, 4, [&](size_t, size_t) { called = true; }));
   EXPECT_FALSE(called);
 }
 
-TEST(ParallelForTest, SingleThreadRunsInline) {
+TEST(ParallelForCancellableTest, SingleThreadRunsInline) {
   std::vector<int> hits(100, 0);
-  ParallelFor(hits.size(), 1, [&](size_t begin, size_t end) {
+  EXPECT_TRUE(RunAll(hits.size(), 1, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) ++hits[i];
-  });
+  }));
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 100);
 }
 
-TEST(ParallelForTest, TinyRangeStaysInline) {
+TEST(ParallelForCancellableTest, TinyRangeStaysInline) {
   // Ranges below the per-thread minimum must not spawn (observable only
   // via correctness here; the point is it doesn't crash or double-run).
   std::vector<int> hits(5, 0);
-  ParallelFor(hits.size(), 16, [&](size_t begin, size_t end) {
+  EXPECT_TRUE(RunAll(hits.size(), 16, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) ++hits[i];
-  });
+  }));
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
-TEST(ParallelForTest, BodyExceptionRethrownAfterJoin) {
+TEST(ParallelForCancellableTest, BodyExceptionRethrownAfterJoin) {
   const size_t n = 10'000;
   std::vector<std::atomic<int>> hits(n);
-  EXPECT_THROW(
-      ParallelFor(n, 4,
-                  [&](size_t begin, size_t end) {
-                    for (size_t i = begin; i < end; ++i) {
-                      if (i == 7'000) throw std::runtime_error("injected");
-                      hits[i].fetch_add(1);
-                    }
-                  }),
-      std::runtime_error);
+  EXPECT_THROW(RunAll(n, 4,
+                      [&](size_t begin, size_t end) {
+                        for (size_t i = begin; i < end; ++i) {
+                          if (i == 7'000) {
+                            throw std::runtime_error("injected");
+                          }
+                          hits[i].fetch_add(1);
+                        }
+                      }),
+               std::runtime_error);
   // The range before the faulting chunk's throw still ran exactly once; no
   // index ran twice (workers were joined, not abandoned).
   for (size_t i = 0; i < n; ++i) EXPECT_LE(hits[i].load(), 1) << i;
 }
 
-TEST(ParallelForTest, FirstExceptionByChunkIndexWins) {
+TEST(ParallelForCancellableTest, FirstExceptionByChunkIndexWins) {
   // Two chunks throw; the rethrown exception must deterministically be the
   // lowest chunk's regardless of scheduling.
   const size_t n = 10'000;
   for (int attempt = 0; attempt < 5; ++attempt) {
     try {
-      ParallelFor(n, 4, [&](size_t begin, size_t) {
+      RunAll(n, 4, [&](size_t begin, size_t) {
         throw std::runtime_error("chunk@" + std::to_string(begin));
       });
       FAIL() << "expected a rethrow";
@@ -83,13 +84,12 @@ TEST(ParallelForTest, FirstExceptionByChunkIndexWins) {
 }
 
 TEST(ParallelForCancellableTest, CompletesWhenUnrestricted) {
+  // Covers the range exactly once.
   const size_t n = 10'000;
   std::vector<std::atomic<int>> hits(n);
-  bool complete = ParallelForCancellable(
-      n, 4, CancellationToken(), Deadline::Infinite(),
-      [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-      });
+  bool complete = RunAll(n, 4, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+  });
   EXPECT_TRUE(complete);
   for (size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
@@ -191,8 +191,8 @@ TEST(ParallelForEachTest, ZeroItemsIsANoOp) {
 }
 
 TEST(ParallelForEachTest, SmallGridStillUsesDynamicScheduling) {
-  // Unlike ParallelFor (whose min-per-thread heuristic serializes small
-  // ranges), the scheduler must parallelize even a 6-item grid — suite
+  // Unlike ParallelForCancellable (whose min-per-thread heuristic
+  // serializes small ranges), the scheduler must parallelize even a 6-item grid — suite
   // cells are few and expensive, the opposite of data-parallel loops.
   std::atomic<int> ran{0};
   ParallelForEach(6, 3, [&](size_t) { ran.fetch_add(1); });

@@ -173,47 +173,111 @@ TEST_P(AlgorithmPropertyTest, SortedUnfairnessMatchesPairsThreadsAndCells) {
 INSTANTIATE_TEST_SUITE_P(Sweep, AlgorithmPropertyTest,
                          ::testing::ValuesIn(AllWorkloads()), WorkloadName);
 
-// --- Permutation invariance: shuffling worker order must not change the
-// --- unfairness the deterministic algorithms find.
+// --- Permutation invariance: shuffling worker order must not change what
+// --- any algorithm finds — the same unfairness bit for bit and the same
+// --- partition sizes.
 
-class PermutationInvarianceTest : public ::testing::TestWithParam<uint64_t> {};
+struct ShuffleCase {
+  std::string algorithm;
+  uint64_t seed;
+};
 
-TEST_P(PermutationInvarianceTest, BalancedInvariantUnderRowShuffle) {
+std::vector<ShuffleCase> AllShuffleCases() {
+  std::vector<ShuffleCase> out;
+  for (const std::string& algorithm : KnownAlgorithmNames()) {
+    for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+      out.push_back({algorithm, seed});
+    }
+  }
+  return out;
+}
+
+std::string ShuffleCaseName(const ::testing::TestParamInfo<ShuffleCase>& info) {
+  std::string name =
+      info.param.algorithm + "_seed" + std::to_string(info.param.seed);
+  for (char& c : name) {
+    if (c == '-') c = '_';
+  }
+  return name;
+}
+
+/// `table` with its rows in `order`, copied as typed values (category
+/// codes, integers, reals) so every score is bit-equal to the original's.
+Table Reordered(const Table& table, const std::vector<size_t>& order) {
+  Table out(table.schema());
+  for (size_t row : order) {
+    std::vector<Cell> cells;
+    for (size_t a = 0; a < table.num_columns(); ++a) {
+      const Column& column = table.column(a);
+      switch (column.kind()) {
+        case AttributeKind::kCategorical:
+          cells.emplace_back(int64_t{column.CodeAt(row)});
+          break;
+        case AttributeKind::kInteger:
+          cells.emplace_back(column.IntAt(row));
+          break;
+        case AttributeKind::kReal:
+          cells.emplace_back(column.RealAt(row));
+          break;
+      }
+    }
+    EXPECT_TRUE(out.AppendRow(cells).ok());
+  }
+  return out;
+}
+
+class PermutationInvarianceTest
+    : public ::testing::TestWithParam<ShuffleCase> {};
+
+TEST_P(PermutationInvarianceTest, InvariantUnderRowShuffle) {
   GeneratorOptions gen;
   gen.num_workers = 120;
-  gen.seed = GetParam();
+  gen.seed = GetParam().seed;
   Table original = GenerateWorkers(gen).value();
-
-  // Build a shuffled copy.
-  Rng rng(GetParam() + 1000);
+  Rng rng(GetParam().seed + 1000);
   std::vector<size_t> order(original.num_rows());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   rng.Shuffle(&order);
-  Table shuffled(original.schema());
-  for (size_t row : order) {
-    std::vector<Cell> cells;
-    for (size_t a = 0; a < original.num_columns(); ++a) {
-      cells.emplace_back(original.CellToString(row, a));
-    }
-    ASSERT_TRUE(shuffled.AppendRow(cells).ok());
-  }
+  Table shuffled = Reordered(original, order);
 
+  // Exhaustive search stays exact (and fast) on the three attributes with
+  // the fewest groups.
+  std::vector<size_t> attrs = original.schema().ProtectedIndices();
+  if (GetParam().algorithm == "exhaustive") {
+    attrs.clear();
+    for (const char* name : {worker_attrs::kGender, worker_attrs::kCountry,
+                             worker_attrs::kLanguage}) {
+      attrs.push_back(original.schema().FindIndex(name).value());
+    }
+  }
   auto fn = MakeAlphaFunction("f1", 0.5);
+  struct Found {
+    double unfairness;
+    std::vector<size_t> sizes;
+  };
   auto run = [&](const Table& t) {
     UnfairnessEvaluator eval =
         UnfairnessEvaluator::Make(&t, fn->ScoreAll(t).value(),
                                   EvaluatorOptions())
             .value();
-    auto algo = MakeAlgorithmByName("balanced").value();
-    Partitioning p = algo->Run(eval, t.schema().ProtectedIndices()).value();
-    return eval.AveragePairwiseUnfairness(p).value();
+    AlgorithmConfig config;
+    config.seed = GetParam().seed * 31;
+    auto algo = MakeAlgorithmByName(GetParam().algorithm, config).value();
+    Partitioning p = algo->Run(eval, attrs).value();
+    Found found{eval.AveragePairwiseUnfairness(p).value(), {}};
+    for (const Partition& part : p) found.sizes.push_back(part.size());
+    return found;
   };
-  // CellToString truncates reals to 4 decimals, so allow a tiny tolerance.
-  EXPECT_NEAR(run(original), run(shuffled), 1e-3);
+  const Found a = run(original);
+  const Found b = run(shuffled);
+  EXPECT_EQ(std::memcmp(&a.unfairness, &b.unfairness, sizeof(double)), 0)
+      << a.unfairness << " vs " << b.unfairness;
+  EXPECT_EQ(a.sizes, b.sizes);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, PermutationInvarianceTest,
-                         ::testing::Values(1, 2, 3, 4, 5));
+INSTANTIATE_TEST_SUITE_P(Algorithms, PermutationInvarianceTest,
+                         ::testing::ValuesIn(AllShuffleCases()),
+                         ShuffleCaseName);
 
 // --- Bin-count sensitivity: EMD-based unfairness must be stable (not
 // --- wildly divergent) across reasonable bin counts.

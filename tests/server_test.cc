@@ -30,6 +30,7 @@
 #include "fairness/auditor.h"
 #include "fairness/option_flags.h"
 #include "fairness/report.h"
+#include "fairness/suite.h"
 #include "gtest/gtest.h"
 #include "marketplace/generator.h"
 #include "server/client.h"
@@ -105,8 +106,9 @@ HttpFetchResult Fetch(const RunningServer& running, const std::string& target,
 /// Strips the wall-clock-dependent fields from an audit JSON body so two
 /// runs of the same deterministic audit compare bit-identically.
 std::string StripVolatile(std::string body) {
-  for (const char* key : {"\"seconds\":", "\"nodes_per_sec\":",
-                          "\"ingest_seconds\":", "\"audit_seconds\":"}) {
+  for (const char* key :
+       {"\"seconds\":", "\"nodes_per_sec\":", "\"ingest_seconds\":",
+        "\"audit_seconds\":", "\"wall_seconds\":", "\"cell_seconds\":"}) {
     size_t pos = 0;
     while ((pos = body.find(key, pos)) != std::string::npos) {
       size_t end = body.find_first_of(",}", pos);
@@ -278,6 +280,39 @@ TEST(ServerTest, SuiteEndpointRunsGrid) {
   ASSERT_EQ(response.status_code, 200) << response.body;
   EXPECT_NE(response.body.find("\"cells\""), std::string::npos);
   EXPECT_NE(response.body.find("\"unbalanced\""), std::string::npos);
+}
+
+TEST(ServerTest, SuiteEndpointMatchesLibraryAtTheRequestedBeamWidth) {
+  auto running = StartServer(DefaultOptions());
+  HttpFetchResult response = Fetch(
+      *running, "/suite?functions=f6,f7&algorithms=beam&beam_width=8");
+  ASSERT_EQ(response.status_code, 200) << response.body;
+
+  GeneratorOptions gen;
+  gen.num_workers = kNumWorkersRows;
+  gen.seed = 7;
+  Table table = GenerateWorkers(gen).value();
+  auto f6 = MakeFunctionFromSpec("f6").value();
+  auto f7 = MakeFunctionFromSpec("f7").value();
+  SuiteOptions options;
+  options.algorithms = {"beam"};
+  options.audit.beam_width = 8;
+  AuditSuite suite(&table);
+  SuiteResult direct = suite.Run({f6.get(), f7.get()}, options).value();
+
+  std::string actual = StripVolatile(response.body);
+  while (!actual.empty() && (actual.back() == '\n' || actual.back() == '\r')) {
+    actual.pop_back();
+  }
+  EXPECT_EQ(actual, StripVolatile(FormatSuiteJson(direct)));
+}
+
+TEST(ServerTest, SuiteRejectsTheSingleAlgorithmFlag) {
+  auto running = StartServer(DefaultOptions());
+  HttpFetchResult response = Fetch(*running, "/suite?algorithm=merge");
+  EXPECT_EQ(response.status_code, 400) << response.body;
+  EXPECT_NE(response.body.find("unknown flag --algorithm"), std::string::npos)
+      << response.body;
 }
 
 TEST(ServerTest, ChaosDivergenceFaultIsolatedToOneRequest) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/fault_injection.h"
 #include "marketplace/biased_scoring.h"
@@ -58,7 +59,7 @@ TEST(AuditSuiteTest, RestrictedAttributesFlowThrough) {
   auto f7 = MakeF7(3);
   SuiteOptions options;
   options.algorithms = {"all-attributes"};
-  options.protected_attributes = {"Gender"};
+  options.audit.protected_attributes = {"Gender"};
   auto result = suite.Run({f7.get()}, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->cells[0][0].num_partitions, 2u);
@@ -136,7 +137,7 @@ TEST(AuditSuiteTest, DeadlineExpiryMidGridTruncatesLateCells) {
   auto f4 = MakeAlphaFunction("f4", 1.0);
   SuiteOptions options;
   options.algorithms = {"balanced", "unbalanced", "all-attributes"};
-  options.limits.deadline = Deadline::AfterMillis(0);  // Already expired.
+  options.audit.limits.deadline = Deadline::AfterMillis(0);  // Already expired.
   auto result = suite.Run({f1.get(), f4.get()}, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   for (const auto& row : result->cells) {
@@ -162,7 +163,7 @@ TEST(AuditSuiteTest, HierarchicalNodeBudgetCapsAggregate) {
   for (int threads : {1, 4}) {
     SuiteOptions options;
     options.num_threads = threads;
-    options.limits.max_nodes = kMaxNodes;
+    options.audit.limits.max_nodes = kMaxNodes;
     auto result = suite.Run({f1.get(), f6.get()}, options);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     uint64_t total_nodes = 0;
@@ -191,7 +192,7 @@ TEST(AuditSuiteTest, ParallelMatchesSerialBitIdentical) {
   auto f1 = MakeAlphaFunction("f1", 0.5);
   auto f6 = MakeF6(3);
   SuiteOptions serial;
-  serial.seed = 11;
+  serial.audit.seed = 11;
   serial.num_threads = 1;
   SuiteResult base = suite.Run({f1.get(), f6.get()}, serial).value();
   SuiteOptions parallel = serial;
@@ -259,6 +260,65 @@ TEST(AuditSuiteTest, SummaryAndJsonReportTheGrid) {
   EXPECT_NE(json.find("\"cells\""), std::string::npos);
   EXPECT_NE(json.find("\"total_nodes\""), std::string::npos);
   EXPECT_NE(json.find("\"divergences_computed\""), std::string::npos);
+}
+
+// Every cell audits a copy of SuiteOptions::audit, so template fields the
+// suite does not own reach the cells: a beam cell at width W is the direct
+// beam audit at width W.
+TEST(AuditSuiteTest, BeamCellsHonourTheTemplateBeamWidth) {
+  Table workers = Workers(300);
+  AuditSuite suite(&workers);
+  auto f6 = MakeF6(3);
+  auto f7 = MakeF7(3);
+  const std::vector<const ScoringFunction*> functions = {f6.get(), f7.get()};
+  FairnessAuditor auditor(&workers);
+  for (int width : {1, 8}) {
+    SuiteOptions options;
+    options.algorithms = {"beam"};
+    options.audit.beam_width = width;
+    options.audit.seed = 5;
+    SuiteResult result = suite.Run(functions, options).value();
+    for (size_t f = 0; f < functions.size(); ++f) {
+      AuditOptions direct_options;
+      direct_options.algorithm = "beam";
+      direct_options.beam_width = width;
+      direct_options.seed = 5 + f;
+      direct_options.num_worst_pairs = 0;
+      AuditResult direct =
+          auditor.Audit(*functions[f], direct_options).value();
+      const SuiteCell& cell = result.cells[0][f];
+      EXPECT_EQ(cell.nodes_visited, direct.nodes_visited)
+          << "width " << width << " " << cell.function;
+      EXPECT_EQ(std::memcmp(&cell.unfairness, &direct.unfairness,
+                            sizeof(double)),
+                0)
+          << "width " << width << " " << cell.function;
+      EXPECT_EQ(cell.num_partitions, direct.partitions.size());
+    }
+  }
+}
+
+// A cell replaces the template's algorithm and worst-pair count and keeps
+// the rest (here the bin count).
+TEST(AuditSuiteTest, CellsReplaceOnlyAlgorithmSeedAndWorstPairs) {
+  Table workers = Workers();
+  AuditSuite suite(&workers);
+  auto f6 = MakeF6(3);
+  SuiteOptions options;
+  options.algorithms = {"balanced"};
+  options.audit.algorithm = "no-such-algorithm";  // Replaced per cell.
+  options.audit.num_worst_pairs = 7;              // Replaced by 0.
+  options.audit.evaluator.num_bins = 4;           // Kept.
+  SuiteResult result = suite.Run({f6.get()}, options).value();
+  AuditOptions direct_options;
+  direct_options.algorithm = "balanced";
+  direct_options.evaluator.num_bins = 4;
+  FairnessAuditor auditor(&workers);
+  AuditResult direct = auditor.Audit(*f6, direct_options).value();
+  EXPECT_EQ(result.cells[0][0].algorithm, "balanced");
+  EXPECT_EQ(std::memcmp(&result.cells[0][0].unfairness, &direct.unfairness,
+                        sizeof(double)),
+            0);
 }
 
 TEST(AuditSuiteTest, BiasedColumnDominatesRandomColumn) {

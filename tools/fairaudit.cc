@@ -13,7 +13,7 @@
 //                      [--functions alpha:0.25,alpha:0.5,f6]
 //                      [--algorithms balanced,unbalanced] [--csv] [--json]
 //                      [--suite-threads 4]
-//                      [+ the audit flags above]
+//                      [+ the audit flags above except --algorithm]
 //   fairaudit rank     --input workers.csv --function alpha:0.5 [--top 10]
 //   fairaudit exposure --input workers.csv --function alpha:0.5
 //                      [--bias log|reciprocal|topk] [--top 10]
@@ -21,6 +21,7 @@
 //                      [--lambda 0.5] [--out repaired.csv]
 //   fairaudit apply    --input workers.csv --spec partitioning.txt
 //                      --function alpha:0.5 [--collect-rest]
+//                      [--bins 10] [--divergence emd]
 //   fairaudit significance --input workers.csv --function f6
 //                      [--iterations 99] [--algorithm balanced]
 //   fairaudit catalog  --input workers.csv [--algorithm balanced]
@@ -42,10 +43,12 @@
 // still exits 0 — a bounded audit is an answer, not an error.
 //
 // `suite` runs the full algorithms × functions grid (the paper's tables).
-// Cells are dispatched onto `--suite-threads` workers; `--max-nodes` /
-// `--max-memory-mb` bound the *aggregate* work of the whole grid via one
-// hierarchical budget. A failing cell renders as ERR and never aborts the
-// grid.
+// Every cell audits with the audit flags (so `--beam-width` reaches every
+// beam cell) and sets only its own algorithm, `--seed` plus its column and
+// no worst pairs. Cells are dispatched onto `--suite-threads` workers;
+// `--max-nodes` / `--max-memory-mb` bound the *aggregate* work of the
+// whole grid via one hierarchical budget. A failing cell renders as ERR and
+// never aborts the grid.
 // `--functions` is comma-separated, so `weights:...` specs (which contain
 // commas) are not accepted there — use `audit` for those.
 //
@@ -67,9 +70,12 @@
 //
 // Input CSVs must carry the paper's worker schema columns (see
 // `fairaudit generate`); extra columns are ignored.
+//
+// Each command is declared once, in Commands(): its name, its handler and
+// the flags it accepts. Dispatch, unknown-flag rejection and the usage line
+// all read that table.
 
 #include <cstdio>
-#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -103,22 +109,6 @@ int Fail(const Status& status) {
   return 1;
 }
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: fairaudit <generate|profile|audit|suite|rank|exposure|"
-               "repair|apply|significance|list> [flags]\n"
-               "run `fairaudit list` for algorithms, divergences and "
-               "function specs\n");
-  return 2;
-}
-
-/// Parses a scoring-function spec (see file header). Shared with
-/// fairauditd so CLI and HTTP specs parse identically.
-StatusOr<std::unique_ptr<ScoringFunction>> MakeFunction(
-    const std::string& spec) {
-  return MakeFunctionFromSpec(spec);
-}
-
 StatusOr<Table> LoadWorkers(const FlagParser& flags) {
   std::string input = flags.GetString("input", "");
   if (input.empty()) {
@@ -128,61 +118,58 @@ StatusOr<Table> LoadWorkers(const FlagParser& flags) {
   return ReadCsvFile(input, schema);
 }
 
-int CmdGenerate(const FlagParser& flags) {
-  StatusOr<int> workers = GetBoundedInt(flags, "workers", 500, 1, kIntMax);
-  auto seed = flags.GetInt("seed", 42);
-  auto realistic = flags.GetBool("realistic", false);
-  if (!workers.ok()) return Fail(workers.status());
-  if (!seed.ok()) return Fail(seed.status());
-  if (!realistic.ok()) return Fail(realistic.status());
+StatusOr<std::unique_ptr<ScoringFunction>> FunctionFromFlags(
+    const FlagParser& flags, const std::string& fallback = "alpha:0.5") {
+  return MakeFunctionFromSpec(flags.GetString("function", fallback));
+}
+
+Status CmdGenerate(const FlagParser& flags) {
+  FAIRRANK_ASSIGN_OR_RETURN(int workers,
+                            GetBoundedInt(flags, "workers", 500, 1, kIntMax));
+  FAIRRANK_ASSIGN_OR_RETURN(int64_t seed, flags.GetInt("seed", 42));
+  FAIRRANK_ASSIGN_OR_RETURN(bool realistic, flags.GetBool("realistic", false));
 
   StatusOr<Table> table = Status::Internal("unset");
-  if (*realistic) {
+  if (realistic) {
     RealisticGeneratorOptions options;
-    options.num_workers = static_cast<size_t>(*workers);
-    options.seed = static_cast<uint64_t>(*seed);
-    auto bias = flags.GetDouble("bias", 1.0);
-    if (!bias.ok()) return Fail(bias.status());
-    options.bias_strength = *bias;
+    options.num_workers = static_cast<size_t>(workers);
+    options.seed = static_cast<uint64_t>(seed);
+    FAIRRANK_ASSIGN_OR_RETURN(options.bias_strength,
+                              flags.GetDouble("bias", 1.0));
     table = GenerateRealisticWorkers(options);
   } else {
     GeneratorOptions options;
-    options.num_workers = static_cast<size_t>(*workers);
-    options.seed = static_cast<uint64_t>(*seed);
+    options.num_workers = static_cast<size_t>(workers);
+    options.seed = static_cast<uint64_t>(seed);
     table = GenerateWorkers(options);
   }
-  if (!table.ok()) return Fail(table.status());
+  FAIRRANK_RETURN_NOT_OK(table.status());
   std::string out = flags.GetString("out", "workers.csv");
-  Status written = WriteCsvFile(out, *table);
-  if (!written.ok()) return Fail(written);
+  FAIRRANK_RETURN_NOT_OK(WriteCsvFile(out, *table));
   std::printf("wrote %zu %s workers (seed %lld) to %s\n", table->num_rows(),
-              *realistic ? "realistic" : "uniform",
-              static_cast<long long>(*seed), out.c_str());
-  return 0;
+              realistic ? "realistic" : "uniform",
+              static_cast<long long>(seed), out.c_str());
+  return Status::OK();
 }
 
-int CmdProfile(const FlagParser& flags) {
-  StatusOr<Table> workers = LoadWorkers(flags);
-  if (!workers.ok()) return Fail(workers.status());
-  StatusOr<TableProfile> profile = ProfileTable(*workers);
-  if (!profile.ok()) return Fail(profile.status());
-  std::printf("%s", FormatTableProfile(*profile).c_str());
+Status CmdProfile(const FlagParser& flags) {
+  FAIRRANK_ASSIGN_OR_RETURN(Table workers, LoadWorkers(flags));
+  FAIRRANK_ASSIGN_OR_RETURN(TableProfile profile, ProfileTable(workers));
+  std::printf("%s", FormatTableProfile(profile).c_str());
 
   // With a function, also print the single-attribute association screen.
   if (flags.Has("function")) {
-    StatusOr<std::unique_ptr<ScoringFunction>> fn =
-        MakeFunction(flags.GetString("function", "alpha:0.5"));
-    if (!fn.ok()) return Fail(fn.status());
-    StatusOr<std::vector<double>> scores = (*fn)->ScoreAll(*workers);
-    if (!scores.ok()) return Fail(scores.status());
-    StatusOr<std::vector<ScoreAssociation>> associations =
-        ScoreAssociations(*workers, *scores);
-    if (!associations.ok()) return Fail(associations.status());
+    FAIRRANK_ASSIGN_OR_RETURN(std::unique_ptr<ScoringFunction> fn,
+                              FunctionFromFlags(flags));
+    FAIRRANK_ASSIGN_OR_RETURN(std::vector<double> scores,
+                              fn->ScoreAll(workers));
+    FAIRRANK_ASSIGN_OR_RETURN(std::vector<ScoreAssociation> associations,
+                              ScoreAssociations(workers, scores));
     std::printf("\nscore association with %s (single-attribute screen):\n",
-                (*fn)->Name().c_str());
+                fn->Name().c_str());
     TextTable table;
     table.SetHeader({"attribute", "eta^2", "max mean gap"});
-    for (const ScoreAssociation& a : *associations) {
+    for (const ScoreAssociation& a : associations) {
       table.AddRow({a.attribute, FormatDouble(a.eta_squared, 4),
                     FormatDouble(a.max_mean_gap, 4)});
     }
@@ -191,76 +178,60 @@ int CmdProfile(const FlagParser& flags) {
         "note: a weak screen does not mean fair — run `fairaudit audit` for "
         "subgroup combinations.\n");
   }
-  return 0;
+  return Status::OK();
 }
 
-/// `audit --aggregate`: collapses the table into per-cell histograms with
-/// the sharded ingest path (`--threads` shards) and runs the audit's
-/// algorithm on the cells — the million-worker route (see DESIGN.md §12).
-/// Shares the algorithm, evaluator, limit, and output flags with the
-/// row-level audit.
-int CmdAuditAggregate(const FlagParser& flags, const Table& workers,
-                      const ScoringFunction& fn, const AuditOptions& options) {
-  StatusOr<AggregateAudit> audit = RunAggregateAudit(workers, fn, options);
-  if (!audit.ok()) return Fail(audit.status());
-
-  StatusOr<bool> json = flags.GetBool("json", false);
-  if (!json.ok()) return Fail(json.status());
-  if (*json) {
-    std::printf(
-        "%s\n",
-        FormatAggregateAuditJson(audit->store, audit->result, audit->info)
-            .c_str());
-    return 0;
-  }
+Status CmdAudit(const FlagParser& flags) {
+  FAIRRANK_ASSIGN_OR_RETURN(Table workers, LoadWorkers(flags));
+  FAIRRANK_ASSIGN_OR_RETURN(std::unique_ptr<ScoringFunction> fn,
+                            FunctionFromFlags(flags));
+  FAIRRANK_ASSIGN_OR_RETURN(AuditOptions options,
+                            AuditOptionsFromFlags(flags));
+  // The output flags serve the row and the --aggregate route alike.
+  FAIRRANK_ASSIGN_OR_RETURN(bool json, flags.GetBool("json", false));
   ReportOptions report;
-  StatusOr<bool> histograms = flags.GetBool("histograms", false);
-  if (!histograms.ok()) return Fail(histograms.status());
-  report.include_histograms = *histograms;
-  StatusOr<int> max_partitions =
-      GetBoundedInt(flags, "max-partitions", 20, 0, kIntMax);
-  if (!max_partitions.ok()) return Fail(max_partitions.status());
-  report.max_partitions = static_cast<size_t>(*max_partitions);
-  std::printf("%s", FormatAggregateAuditReport(audit->store, audit->result,
-                                               audit->info, report)
-                        .c_str());
-  return 0;
-}
-
-int CmdAudit(const FlagParser& flags) {
-  StatusOr<Table> workers = LoadWorkers(flags);
-  if (!workers.ok()) return Fail(workers.status());
-  StatusOr<std::unique_ptr<ScoringFunction>> fn =
-      MakeFunction(flags.GetString("function", "alpha:0.5"));
-  if (!fn.ok()) return Fail(fn.status());
-  StatusOr<AuditOptions> options = AuditOptionsFromFlags(flags);
-  if (!options.ok()) return Fail(options.status());
-  StatusOr<bool> traced = flags.GetBool("trace", false);
-  if (!traced.ok()) return Fail(traced.status());
+  FAIRRANK_ASSIGN_OR_RETURN(report.include_histograms,
+                            flags.GetBool("histograms", false));
+  FAIRRANK_ASSIGN_OR_RETURN(
+      int max_partitions,
+      GetBoundedInt(flags, "max-partitions", 20, 0, kIntMax));
+  report.max_partitions = static_cast<size_t>(max_partitions);
+  FAIRRANK_ASSIGN_OR_RETURN(bool traced, flags.GetBool("trace", false));
   std::unique_ptr<TraceContext> trace;
-  if (*traced) {
+  if (traced) {
     trace = std::make_unique<TraceContext>();
-    options->limits.trace = trace.get();
+    options.limits.trace = trace.get();
   }
 
-  StatusOr<bool> aggregate = flags.GetBool("aggregate", false);
-  if (!aggregate.ok()) return Fail(aggregate.status());
-  if (*aggregate) {
+  FAIRRANK_ASSIGN_OR_RETURN(bool aggregate, flags.GetBool("aggregate", false));
+  if (aggregate) {
     if (flags.Has("save-partitioning")) {
-      return Fail(Status::InvalidArgument(
+      return Status::InvalidArgument(
           "--save-partitioning needs row-level partitions; it cannot be "
-          "combined with --aggregate"));
+          "combined with --aggregate");
     }
-    int code = CmdAuditAggregate(flags, *workers, **fn, *options);
+    // Collapses the table into per-cell histograms with the sharded ingest
+    // path (`--threads` shards) and runs the audit's algorithm on the
+    // cells — the million-worker route (see DESIGN.md §12).
+    StatusOr<AggregateAudit> audit = RunAggregateAudit(workers, *fn, options);
+    if (audit.ok() && json) {
+      std::printf(
+          "%s\n",
+          FormatAggregateAuditJson(audit->store, audit->result, audit->info)
+              .c_str());
+    } else if (audit.ok()) {
+      std::printf("%s", FormatAggregateAuditReport(audit->store, audit->result,
+                                                   audit->info, report)
+                            .c_str());
+    }
     if (trace != nullptr) {
       std::fprintf(stderr, "%s", trace->FormatTree().c_str());
     }
-    return code;
+    return audit.status();
   }
 
-  FairnessAuditor auditor(&workers.value());
-  StatusOr<AuditResult> result = auditor.Audit(**fn, *options);
-  if (!result.ok()) return Fail(result.status());
+  FairnessAuditor auditor(&workers);
+  FAIRRANK_ASSIGN_OR_RETURN(AuditResult result, auditor.Audit(*fn, options));
   // The tree goes to stderr so `--json | jq` keeps working with --trace on.
   if (trace != nullptr) {
     std::fprintf(stderr, "%s", trace->FormatTree().c_str());
@@ -269,10 +240,10 @@ int CmdAudit(const FlagParser& flags) {
   std::string save_path = flags.GetString("save-partitioning", "");
   if (!save_path.empty()) {
     std::string text =
-        SerializePartitioning(workers->schema(), result->partitioning);
+        SerializePartitioning(workers.schema(), result.partitioning);
     FILE* f = std::fopen(save_path.c_str(), "w");
     if (f == nullptr) {
-      return Fail(Status::IOError("cannot open '" + save_path + "'"));
+      return Status::IOError("cannot open '" + save_path + "'");
     }
     std::fwrite(text.data(), 1, text.size(), f);
     std::fclose(f);
@@ -280,123 +251,81 @@ int CmdAudit(const FlagParser& flags) {
                  save_path.c_str());
   }
 
-  StatusOr<bool> json = flags.GetBool("json", false);
-  if (!json.ok()) return Fail(json.status());
-  if (*json) {
-    std::printf("%s\n", FormatAuditJson(*result).c_str());
-    return 0;
+  if (json) {
+    std::printf("%s\n", FormatAuditJson(result).c_str());
+  } else {
+    std::printf("%s", FormatAuditReport(result, report).c_str());
   }
-  ReportOptions report;
-  StatusOr<bool> histograms = flags.GetBool("histograms", false);
-  if (!histograms.ok()) return Fail(histograms.status());
-  report.include_histograms = *histograms;
-  StatusOr<int> max_partitions =
-      GetBoundedInt(flags, "max-partitions", 20, 0, kIntMax);
-  if (!max_partitions.ok()) return Fail(max_partitions.status());
-  report.max_partitions = static_cast<size_t>(*max_partitions);
-  std::printf("%s", FormatAuditReport(*result, report).c_str());
-  return 0;
+  return Status::OK();
 }
 
-int CmdSuite(const FlagParser& flags) {
-  StatusOr<Table> workers = LoadWorkers(flags);
-  if (!workers.ok()) return Fail(workers.status());
-  StatusOr<AuditOptions> audit_options = AuditOptionsFromFlags(flags);
-  if (!audit_options.ok()) return Fail(audit_options.status());
-
-  std::vector<std::unique_ptr<ScoringFunction>> owned;
+Status CmdSuite(const FlagParser& flags) {
+  FAIRRANK_ASSIGN_OR_RETURN(Table workers, LoadWorkers(flags));
+  FAIRRANK_ASSIGN_OR_RETURN(SuiteOptions options,
+                            SuiteOptionsFromFlags(flags));
+  FAIRRANK_ASSIGN_OR_RETURN(
+      std::vector<std::unique_ptr<ScoringFunction>> owned,
+      FunctionsFromFlags(flags));
   std::vector<const ScoringFunction*> functions;
-  for (const std::string& spec :
-       Split(flags.GetString("functions", "alpha:0.25,alpha:0.5,alpha:0.75"),
-             ',')) {
-    StatusOr<std::unique_ptr<ScoringFunction>> fn =
-        MakeFunction(std::string(Trim(spec)));
-    if (!fn.ok()) return Fail(fn.status());
-    owned.push_back(std::move(fn).value());
-    functions.push_back(owned.back().get());
-  }
+  for (const auto& fn : owned) functions.push_back(fn.get());
 
-  SuiteOptions options;
-  std::string algorithms = flags.GetString("algorithms", "");
-  if (!algorithms.empty()) {
-    for (const std::string& name : Split(algorithms, ',')) {
-      options.algorithms.emplace_back(Trim(name));
-    }
-  }
-  options.evaluator = audit_options->evaluator;
-  options.seed = audit_options->seed;
-  options.protected_attributes = audit_options->protected_attributes;
-  options.limits = audit_options->limits;
-  StatusOr<int> suite_threads =
-      GetBoundedInt(flags, "suite-threads", 1, 0, kIntMax);
-  if (!suite_threads.ok()) return Fail(suite_threads.status());
-  options.num_threads = *suite_threads;
-  AuditSuite suite(&workers.value());
-  StatusOr<SuiteResult> result = suite.Run(functions, options);
-  if (!result.ok()) return Fail(result.status());
-
-  StatusOr<bool> json = flags.GetBool("json", false);
-  if (!json.ok()) return Fail(json.status());
-  StatusOr<bool> csv = flags.GetBool("csv", false);
-  if (!csv.ok()) return Fail(csv.status());
-  if (*json) {
-    std::printf("%s\n", FormatSuiteJson(*result).c_str());
-  } else if (*csv) {
-    std::printf("%s\n%s", FormatSuiteCsv(*result).c_str(),
-                FormatSuiteSummaryCsv(*result).c_str());
+  AuditSuite suite(&workers);
+  FAIRRANK_ASSIGN_OR_RETURN(SuiteResult result, suite.Run(functions, options));
+  FAIRRANK_ASSIGN_OR_RETURN(bool json, flags.GetBool("json", false));
+  FAIRRANK_ASSIGN_OR_RETURN(bool csv, flags.GetBool("csv", false));
+  if (json) {
+    std::printf("%s\n", FormatSuiteJson(result).c_str());
+  } else if (csv) {
+    std::printf("%s\n%s", FormatSuiteCsv(result).c_str(),
+                FormatSuiteSummaryCsv(result).c_str());
   } else {
     std::printf("Average unfairness:\n%s\ntime (in secs):\n%s\n%s",
-                FormatSuiteUnfairness(*result).c_str(),
-                FormatSuiteRuntime(*result).c_str(),
-                FormatSuiteSummary(*result).c_str());
+                FormatSuiteUnfairness(result).c_str(),
+                FormatSuiteRuntime(result).c_str(),
+                FormatSuiteSummary(result).c_str());
   }
-  return 0;
+  return Status::OK();
 }
 
-int CmdRank(const FlagParser& flags) {
-  StatusOr<Table> workers = LoadWorkers(flags);
-  if (!workers.ok()) return Fail(workers.status());
-  StatusOr<std::unique_ptr<ScoringFunction>> fn =
-      MakeFunction(flags.GetString("function", "alpha:0.5"));
-  if (!fn.ok()) return Fail(fn.status());
-  StatusOr<int> top = GetBoundedInt(flags, "top", 10, 0, kIntMax);
-  if (!top.ok()) return Fail(top.status());
+Status CmdRank(const FlagParser& flags) {
+  FAIRRANK_ASSIGN_OR_RETURN(Table workers, LoadWorkers(flags));
+  FAIRRANK_ASSIGN_OR_RETURN(std::unique_ptr<ScoringFunction> fn,
+                            FunctionFromFlags(flags));
+  FAIRRANK_ASSIGN_OR_RETURN(int top,
+                            GetBoundedInt(flags, "top", 10, 0, kIntMax));
 
-  RankingEngine engine(&workers.value());
-  StatusOr<std::vector<RankedWorker>> ranking =
-      engine.TopK(**fn, static_cast<size_t>(*top));
-  if (!ranking.ok()) return Fail(ranking.status());
+  RankingEngine engine(&workers);
+  FAIRRANK_ASSIGN_OR_RETURN(std::vector<RankedWorker> ranking,
+                            engine.TopK(*fn, static_cast<size_t>(top)));
 
   TextTable table;
   std::vector<std::string> header = {"rank", "row", "score"};
-  for (size_t a = 0; a < workers->schema().num_attributes(); ++a) {
-    if (workers->schema().attribute(a).is_protected()) {
-      header.push_back(workers->schema().attribute(a).name());
+  for (size_t a = 0; a < workers.schema().num_attributes(); ++a) {
+    if (workers.schema().attribute(a).is_protected()) {
+      header.push_back(workers.schema().attribute(a).name());
     }
   }
   table.SetHeader(header);
-  for (size_t i = 0; i < ranking->size(); ++i) {
-    const RankedWorker& r = (*ranking)[i];
+  for (size_t i = 0; i < ranking.size(); ++i) {
+    const RankedWorker& r = ranking[i];
     std::vector<std::string> row = {std::to_string(i + 1),
                                     std::to_string(r.row),
                                     FormatDouble(r.score, 4)};
-    for (size_t a = 0; a < workers->schema().num_attributes(); ++a) {
-      if (workers->schema().attribute(a).is_protected()) {
-        row.push_back(workers->CellToString(r.row, a));
+    for (size_t a = 0; a < workers.schema().num_attributes(); ++a) {
+      if (workers.schema().attribute(a).is_protected()) {
+        row.push_back(workers.CellToString(r.row, a));
       }
     }
     table.AddRow(row);
   }
   std::printf("%s", table.ToString().c_str());
-  return 0;
+  return Status::OK();
 }
 
-int CmdExposure(const FlagParser& flags) {
-  StatusOr<Table> workers = LoadWorkers(flags);
-  if (!workers.ok()) return Fail(workers.status());
-  StatusOr<std::unique_ptr<ScoringFunction>> fn =
-      MakeFunction(flags.GetString("function", "alpha:0.5"));
-  if (!fn.ok()) return Fail(fn.status());
+Status CmdExposure(const FlagParser& flags) {
+  FAIRRANK_ASSIGN_OR_RETURN(Table workers, LoadWorkers(flags));
+  FAIRRANK_ASSIGN_OR_RETURN(std::unique_ptr<ScoringFunction> fn,
+                            FunctionFromFlags(flags));
 
   ExposureOptions options;
   std::string bias = flags.GetString("bias", "log");
@@ -406,21 +335,20 @@ int CmdExposure(const FlagParser& flags) {
     options.bias = PositionBias::kReciprocal;
   } else if (bias == "topk") {
     options.bias = PositionBias::kTopK;
-    StatusOr<int> top = GetBoundedInt(flags, "top", 10, 0, kIntMax);
-    if (!top.ok()) return Fail(top.status());
-    options.top_k = static_cast<size_t>(*top);
+    FAIRRANK_ASSIGN_OR_RETURN(int top,
+                              GetBoundedInt(flags, "top", 10, 0, kIntMax));
+    options.top_k = static_cast<size_t>(top);
   } else {
-    return Fail(Status::InvalidArgument("--bias must be log|reciprocal|topk"));
+    return Status::InvalidArgument("--bias must be log|reciprocal|topk");
   }
 
-  RankingEngine engine(&workers.value());
-  StatusOr<std::vector<RankedWorker>> ranking = engine.Rank(**fn);
-  if (!ranking.ok()) return Fail(ranking.status());
-  StatusOr<std::vector<ExposureReport>> reports =
-      ComputeAllExposures(*workers, *ranking, options);
-  if (!reports.ok()) return Fail(reports.status());
+  RankingEngine engine(&workers);
+  FAIRRANK_ASSIGN_OR_RETURN(std::vector<RankedWorker> ranking,
+                            engine.Rank(*fn));
+  FAIRRANK_ASSIGN_OR_RETURN(std::vector<ExposureReport> reports,
+                            ComputeAllExposures(workers, ranking, options));
 
-  for (const ExposureReport& report : *reports) {
+  for (const ExposureReport& report : reports) {
     std::printf("%s  (exposure gap %.4f, treatment disparity %.4f)\n",
                 report.attribute.c_str(), report.exposure_gap,
                 report.treatment_disparity);
@@ -433,17 +361,15 @@ int CmdExposure(const FlagParser& flags) {
     }
     std::printf("%s\n", table.ToString().c_str());
   }
-  return 0;
+  return Status::OK();
 }
 
-int CmdRepair(const FlagParser& flags) {
-  StatusOr<Table> workers = LoadWorkers(flags);
-  if (!workers.ok()) return Fail(workers.status());
-  StatusOr<std::unique_ptr<ScoringFunction>> fn =
-      MakeFunction(flags.GetString("function", "f6"));
-  if (!fn.ok()) return Fail(fn.status());
-  StatusOr<AuditOptions> options = AuditOptionsFromFlags(flags);
-  if (!options.ok()) return Fail(options.status());
+Status CmdRepair(const FlagParser& flags) {
+  FAIRRANK_ASSIGN_OR_RETURN(Table workers, LoadWorkers(flags));
+  FAIRRANK_ASSIGN_OR_RETURN(std::unique_ptr<ScoringFunction> fn,
+                            FunctionFromFlags(flags, "f6"));
+  FAIRRANK_ASSIGN_OR_RETURN(AuditOptions options,
+                            AuditOptionsFromFlags(flags));
 
   std::string strategy_name = flags.GetString("strategy", "quantile");
   std::unique_ptr<RepairStrategy> strategy;
@@ -452,61 +378,56 @@ int CmdRepair(const FlagParser& flags) {
   } else if (strategy_name == "affine") {
     strategy = MakeAffineRepair();
   } else if (strategy_name == "interpolation") {
-    StatusOr<double> lambda = flags.GetDouble("lambda", 0.5);
-    if (!lambda.ok()) return Fail(lambda.status());
-    strategy = MakeInterpolationRepair(*lambda);
+    FAIRRANK_ASSIGN_OR_RETURN(double lambda, flags.GetDouble("lambda", 0.5));
+    strategy = MakeInterpolationRepair(lambda);
   } else {
-    return Fail(Status::InvalidArgument(
-        "--strategy must be quantile|affine|interpolation"));
+    return Status::InvalidArgument(
+        "--strategy must be quantile|affine|interpolation");
   }
 
-  FairnessAuditor auditor(&workers.value());
-  StatusOr<AuditResult> audit = auditor.Audit(**fn, *options);
-  if (!audit.ok()) return Fail(audit.status());
-  StatusOr<std::vector<double>> scores = (*fn)->ScoreAll(*workers);
-  if (!scores.ok()) return Fail(scores.status());
-
-  StatusOr<RepairEvaluation> evaluation =
-      EvaluateRepair(*workers, audit->partitioning, *scores, *strategy,
-                     options->evaluator);
-  if (!evaluation.ok()) return Fail(evaluation.status());
+  FairnessAuditor auditor(&workers);
+  FAIRRANK_ASSIGN_OR_RETURN(AuditResult audit, auditor.Audit(*fn, options));
+  FAIRRANK_ASSIGN_OR_RETURN(std::vector<double> scores, fn->ScoreAll(workers));
+  FAIRRANK_ASSIGN_OR_RETURN(
+      RepairEvaluation evaluation,
+      EvaluateRepair(workers, audit.partitioning, scores, *strategy,
+                     options.evaluator));
   std::printf(
       "repair=%s on %s/%s: unfairness %.4f -> %.4f  "
       "mean |delta score| %.4f  rank correlation %.4f\n",
-      strategy->Name().c_str(), audit->algorithm.c_str(),
-      audit->scoring_function.c_str(), evaluation->unfairness_before,
-      evaluation->unfairness_after, evaluation->mean_score_change,
-      evaluation->rank_correlation);
+      strategy->Name().c_str(), audit.algorithm.c_str(),
+      audit.scoring_function.c_str(), evaluation.unfairness_before,
+      evaluation.unfairness_after, evaluation.mean_score_change,
+      evaluation.rank_correlation);
 
   std::string out = flags.GetString("out", "");
   if (!out.empty()) {
     // Emit row,original,repaired per worker.
     std::string csv = "row,original_score,repaired_score\n";
-    for (size_t i = 0; i < scores->size(); ++i) {
-      csv += std::to_string(i) + "," + FormatDouble((*scores)[i], 6) + "," +
-             FormatDouble(evaluation->repaired_scores[i], 6) + "\n";
+    for (size_t i = 0; i < scores.size(); ++i) {
+      csv += std::to_string(i) + "," + FormatDouble(scores[i], 6) + "," +
+             FormatDouble(evaluation.repaired_scores[i], 6) + "\n";
     }
     FILE* f = std::fopen(out.c_str(), "w");
     if (f == nullptr) {
-      return Fail(Status::IOError("cannot open '" + out + "' for writing"));
+      return Status::IOError("cannot open '" + out + "' for writing");
     }
     std::fwrite(csv.data(), 1, csv.size(), f);
     std::fclose(f);
     std::printf("wrote repaired scores to %s\n", out.c_str());
   }
-  return 0;
+  return Status::OK();
 }
 
-int CmdApply(const FlagParser& flags) {
-  StatusOr<Table> workers = LoadWorkers(flags);
-  if (!workers.ok()) return Fail(workers.status());
+Status CmdApply(const FlagParser& flags) {
+  FAIRRANK_ASSIGN_OR_RETURN(Table workers, LoadWorkers(flags));
   std::string spec_path = flags.GetString("spec", "");
   if (spec_path.empty()) {
-    return Fail(Status::InvalidArgument("--spec <file> is required"));
+    return Status::InvalidArgument("--spec <file> is required");
   }
   FILE* f = std::fopen(spec_path.c_str(), "r");
   if (f == nullptr) {
-    return Fail(Status::IOError("cannot open '" + spec_path + "'"));
+    return Status::IOError("cannot open '" + spec_path + "'");
   }
   std::string text;
   char buffer[4096];
@@ -516,104 +437,91 @@ int CmdApply(const FlagParser& flags) {
   }
   std::fclose(f);
 
-  StatusOr<bool> collect = flags.GetBool("collect-rest", false);
-  if (!collect.ok()) return Fail(collect.status());
-  StatusOr<Partitioning> partitioning = ApplyPartitioningSpec(
-      *workers, text,
-      *collect ? UnmatchedRowPolicy::kCollectRest
-               : UnmatchedRowPolicy::kError);
-  if (!partitioning.ok()) return Fail(partitioning.status());
+  FAIRRANK_ASSIGN_OR_RETURN(bool collect, flags.GetBool("collect-rest", false));
+  FAIRRANK_ASSIGN_OR_RETURN(
+      Partitioning partitioning,
+      ApplyPartitioningSpec(workers, text,
+                            collect ? UnmatchedRowPolicy::kCollectRest
+                                    : UnmatchedRowPolicy::kError));
 
-  StatusOr<std::unique_ptr<ScoringFunction>> fn =
-      MakeFunction(flags.GetString("function", "alpha:0.5"));
-  if (!fn.ok()) return Fail(fn.status());
-  StatusOr<std::vector<double>> scores = (*fn)->ScoreAll(*workers);
-  if (!scores.ok()) return Fail(scores.status());
-  EvaluatorOptions evaluator;
-  StatusOr<int> bins = GetBoundedInt(flags, "bins", 10, 1, kMaxBins);
-  if (!bins.ok()) return Fail(bins.status());
-  evaluator.num_bins = *bins;
-  evaluator.divergence = flags.GetString("divergence", "emd");
-  StatusOr<UnfairnessEvaluator> eval =
-      UnfairnessEvaluator::Make(&workers.value(), *scores, evaluator);
-  if (!eval.ok()) return Fail(eval.status());
-  StatusOr<double> unfairness =
-      eval->AveragePairwiseUnfairness(*partitioning);
-  if (!unfairness.ok()) return Fail(unfairness.status());
+  FAIRRANK_ASSIGN_OR_RETURN(std::unique_ptr<ScoringFunction> fn,
+                            FunctionFromFlags(flags));
+  FAIRRANK_ASSIGN_OR_RETURN(std::vector<double> scores, fn->ScoreAll(workers));
+  FAIRRANK_ASSIGN_OR_RETURN(EvaluatorOptions evaluator,
+                            EvaluatorOptionsFromFlags(flags));
+  FAIRRANK_ASSIGN_OR_RETURN(
+      UnfairnessEvaluator eval,
+      UnfairnessEvaluator::Make(&workers, std::move(scores), evaluator));
+  FAIRRANK_ASSIGN_OR_RETURN(double unfairness,
+                            eval.AveragePairwiseUnfairness(partitioning));
 
   std::printf("applied %zu partitions from %s to %zu workers\n",
-              partitioning->size(), spec_path.c_str(), workers->num_rows());
+              partitioning.size(), spec_path.c_str(), workers.num_rows());
   std::printf("unfairness of %s on this partitioning: %.4f\n",
-              (*fn)->Name().c_str(), *unfairness);
+              fn->Name().c_str(), unfairness);
   TextTable table;
   table.SetHeader({"partition", "size"});
-  for (const Partition& p : *partitioning) {
-    table.AddRow({PartitionLabel(workers->schema(), p),
+  for (const Partition& p : partitioning) {
+    table.AddRow({PartitionLabel(workers.schema(), p),
                   std::to_string(p.size())});
   }
   std::printf("%s", table.ToString().c_str());
-  return 0;
+  return Status::OK();
 }
 
-int CmdSignificance(const FlagParser& flags) {
-  StatusOr<Table> workers = LoadWorkers(flags);
-  if (!workers.ok()) return Fail(workers.status());
-  StatusOr<std::unique_ptr<ScoringFunction>> fn =
-      MakeFunction(flags.GetString("function", "alpha:0.5"));
-  if (!fn.ok()) return Fail(fn.status());
-  StatusOr<AuditOptions> options = AuditOptionsFromFlags(flags);
-  if (!options.ok()) return Fail(options.status());
-  StatusOr<int> iterations =
-      GetBoundedInt(flags, "iterations", 99, 1, kIntMax);
-  if (!iterations.ok()) return Fail(iterations.status());
+Status CmdSignificance(const FlagParser& flags) {
+  FAIRRANK_ASSIGN_OR_RETURN(Table workers, LoadWorkers(flags));
+  FAIRRANK_ASSIGN_OR_RETURN(std::unique_ptr<ScoringFunction> fn,
+                            FunctionFromFlags(flags));
+  FAIRRANK_ASSIGN_OR_RETURN(AuditOptions options,
+                            AuditOptionsFromFlags(flags));
+  FAIRRANK_ASSIGN_OR_RETURN(
+      int iterations, GetBoundedInt(flags, "iterations", 99, 1, kIntMax));
 
-  FairnessAuditor auditor(&workers.value());
-  StatusOr<AuditResult> audit = auditor.Audit(**fn, *options);
-  if (!audit.ok()) return Fail(audit.status());
-  StatusOr<std::vector<double>> scores = (*fn)->ScoreAll(*workers);
-  if (!scores.ok()) return Fail(scores.status());
-  StatusOr<UnfairnessEvaluator> eval = UnfairnessEvaluator::Make(
-      &workers.value(), *scores, options->evaluator);
-  if (!eval.ok()) return Fail(eval.status());
-
-  StatusOr<PermutationResult> permutation = PermutationTestUnfairness(
-      *eval, audit->partitioning, static_cast<size_t>(*iterations),
-      options->seed + 1);
-  if (!permutation.ok()) return Fail(permutation.status());
-  StatusOr<BootstrapResult> bootstrap =
-      BootstrapUnfairness(*eval, audit->partitioning,
-                          static_cast<size_t>(*iterations), options->seed + 2);
-  if (!bootstrap.ok()) return Fail(bootstrap.status());
+  FairnessAuditor auditor(&workers);
+  FAIRRANK_ASSIGN_OR_RETURN(AuditResult audit, auditor.Audit(*fn, options));
+  FAIRRANK_ASSIGN_OR_RETURN(std::vector<double> scores, fn->ScoreAll(workers));
+  FAIRRANK_ASSIGN_OR_RETURN(
+      UnfairnessEvaluator eval,
+      UnfairnessEvaluator::Make(&workers, std::move(scores),
+                                options.evaluator));
+  FAIRRANK_ASSIGN_OR_RETURN(
+      PermutationResult permutation,
+      PermutationTestUnfairness(eval, audit.partitioning,
+                                static_cast<size_t>(iterations),
+                                options.seed + 1));
+  FAIRRANK_ASSIGN_OR_RETURN(
+      BootstrapResult bootstrap,
+      BootstrapUnfairness(eval, audit.partitioning,
+                          static_cast<size_t>(iterations), options.seed + 2));
 
   std::printf("audit: %s via %s -> unfairness %.4f (%zu partitions)%s\n",
-              audit->scoring_function.c_str(), audit->algorithm.c_str(),
-              audit->unfairness, audit->partitions.size(),
-              audit->truncated ? " [search truncated]" : "");
+              audit.scoring_function.c_str(), audit.algorithm.c_str(),
+              audit.unfairness, audit.partitions.size(),
+              audit.truncated ? " [search truncated]" : "");
   std::printf("permutation test (%lld iterations): null mean %.4f, "
               "p-value %.4f\n",
-              static_cast<long long>(*iterations), permutation->null_mean,
-              permutation->p_value);
+              static_cast<long long>(iterations), permutation.null_mean,
+              permutation.p_value);
   std::printf("bootstrap 95%% CI: [%.4f, %.4f] (mean %.4f)\n",
-              bootstrap->ci_lo, bootstrap->ci_hi, bootstrap->mean);
-  return 0;
+              bootstrap.ci_lo, bootstrap.ci_hi, bootstrap.mean);
+  return Status::OK();
 }
 
-int CmdCatalog(const FlagParser& flags) {
-  StatusOr<Table> workers = LoadWorkers(flags);
-  if (!workers.ok()) return Fail(workers.status());
-  StatusOr<AuditOptions> options = AuditOptionsFromFlags(flags);
-  if (!options.ok()) return Fail(options.status());
+Status CmdCatalog(const FlagParser& flags) {
+  FAIRRANK_ASSIGN_OR_RETURN(Table workers, LoadWorkers(flags));
+  FAIRRANK_ASSIGN_OR_RETURN(AuditOptions options,
+                            AuditOptionsFromFlags(flags));
   TaskCatalog catalog = TaskCatalog::MakeDefaultCatalog();
-  StatusOr<std::vector<CategoryAuditRow>> rows =
-      AuditCatalog(*workers, catalog, *options);
-  if (!rows.ok()) return Fail(rows.status());
+  FAIRRANK_ASSIGN_OR_RETURN(std::vector<CategoryAuditRow> rows,
+                            AuditCatalog(workers, catalog, options));
   std::printf("per-category audit via %s (least fair first):\n",
-              options->algorithm.c_str());
+              options.algorithm.c_str());
   TextTable table;
   table.SetHeader(
       {"category", "unfairness", "partitions", "attributes", "truncated"});
   bool any_truncated = false;
-  for (const CategoryAuditRow& row : *rows) {
+  for (const CategoryAuditRow& row : rows) {
     any_truncated |= row.truncated;
     table.AddRow({row.category, FormatDouble(row.unfairness, 4),
                   std::to_string(row.num_partitions),
@@ -626,10 +534,10 @@ int CmdCatalog(const FlagParser& flags) {
         "note: truncated rows hit the deadline or budget; their unfairness "
         "is a lower bound from the best partitioning found in time.\n");
   }
-  return 0;
+  return Status::OK();
 }
 
-int CmdList() {
+Status CmdList(const FlagParser& /*flags*/) {
   std::printf("algorithms:\n");
   for (const std::string& name : KnownAlgorithmNames()) {
     std::printf("  %s\n", name.c_str());
@@ -643,77 +551,71 @@ int CmdList() {
       "  alpha:<a>              a*LanguageTest + (1-a)*ApprovalRate\n"
       "  f6[:seed]..f9[:seed]   the paper's biased-by-design functions\n"
       "  weights:A=0.7,B=0.3    arbitrary linear function\n");
-  return 0;
+  return Status::OK();
 }
 
-/// The exact flags each command accepts. A flag outside this set fails the
-/// command (see ValidateKnownFlags) — a misspelled `--max-node` must not
-/// silently run an unbounded audit.
-StatusOr<std::vector<std::string>> KnownFlagsForCommand(
-    const std::string& command) {
-  std::vector<std::string> known;
-  auto add = [&known](std::initializer_list<const char*> names) {
-    for (const char* name : names) known.emplace_back(name);
+/// One fairaudit command: its name, its handler, and the flags it accepts —
+/// the option flags `shared` names (none when null) plus its own `flags`.
+/// A flag outside that set fails the command (see ValidateKnownFlags): a
+/// misspelled `--max-node` must not silently run an unbounded audit.
+struct Command {
+  const char* name;
+  Status (*run)(const FlagParser&);
+  const std::vector<std::string>& (*shared)();
+  std::vector<std::string> flags;
+};
+
+const std::vector<Command>& Commands() {
+  static const std::vector<Command>* commands = new std::vector<Command>{
+      {"generate", CmdGenerate, nullptr,
+       {"workers", "seed", "realistic", "bias", "out"}},
+      {"profile", CmdProfile, nullptr, {"input", "function"}},
+      {"audit", CmdAudit, AuditOptionFlagNames,
+       {"input", "function", "json", "histograms", "max-partitions",
+        "save-partitioning", "trace", "aggregate"}},
+      {"suite", CmdSuite, SuiteOptionFlagNames,
+       {"input", "functions", "csv", "json"}},
+      {"rank", CmdRank, nullptr, {"input", "function", "top"}},
+      {"exposure", CmdExposure, nullptr, {"input", "function", "bias", "top"}},
+      {"repair", CmdRepair, AuditOptionFlagNames,
+       {"input", "function", "strategy", "lambda", "out"}},
+      {"apply", CmdApply, nullptr,
+       {"input", "spec", "function", "collect-rest", "bins", "divergence"}},
+      {"significance", CmdSignificance, AuditOptionFlagNames,
+       {"input", "function", "iterations"}},
+      {"catalog", CmdCatalog, AuditOptionFlagNames, {"input"}},
+      {"list", CmdList, nullptr, {}},
   };
-  auto add_audit_flags = [&known] {
-    const std::vector<std::string>& names = AuditOptionFlagNames();
-    known.insert(known.end(), names.begin(), names.end());
-  };
-  if (command == "generate") {
-    add({"workers", "seed", "realistic", "bias", "out"});
-  } else if (command == "profile") {
-    add({"input", "function"});
-  } else if (command == "audit") {
-    add_audit_flags();
-    add({"input", "function", "json", "histograms", "max-partitions",
-         "save-partitioning", "trace", "aggregate"});
-  } else if (command == "suite") {
-    add_audit_flags();
-    add({"input", "functions", "algorithms", "csv", "json",
-         "suite-threads"});
-  } else if (command == "rank") {
-    add({"input", "function", "top"});
-  } else if (command == "exposure") {
-    add({"input", "function", "bias", "top"});
-  } else if (command == "repair") {
-    add_audit_flags();
-    add({"input", "function", "strategy", "lambda", "out"});
-  } else if (command == "apply") {
-    add({"input", "spec", "function", "collect-rest", "bins", "divergence"});
-  } else if (command == "significance") {
-    add_audit_flags();
-    add({"input", "function", "iterations"});
-  } else if (command == "catalog") {
-    add_audit_flags();
-    add({"input"});
-  } else if (command == "list") {
-    // No flags.
-  } else {
-    return Status::InvalidArgument("unknown command '" + command + "'");
-  }
-  return known;
+  return *commands;
+}
+
+int Usage() {
+  std::vector<std::string> names;
+  for (const Command& command : Commands()) names.push_back(command.name);
+  std::fprintf(stderr,
+               "usage: fairaudit <%s> [flags]\n"
+               "run `fairaudit list` for algorithms, divergences and "
+               "function specs\n",
+               Join(names, "|").c_str());
+  return 2;
 }
 
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  std::string command = argv[1];
+  const std::string name = argv[1];
   StatusOr<FlagParser> flags = FlagParser::Parse(argc - 2, argv + 2);
   if (!flags.ok()) return Fail(flags.status());
-  StatusOr<std::vector<std::string>> known = KnownFlagsForCommand(command);
-  if (!known.ok()) return Usage();
-  Status validated = ValidateKnownFlags(*flags, *known);
-  if (!validated.ok()) return Fail(validated);
-  if (command == "generate") return CmdGenerate(*flags);
-  if (command == "profile") return CmdProfile(*flags);
-  if (command == "audit") return CmdAudit(*flags);
-  if (command == "suite") return CmdSuite(*flags);
-  if (command == "rank") return CmdRank(*flags);
-  if (command == "exposure") return CmdExposure(*flags);
-  if (command == "repair") return CmdRepair(*flags);
-  if (command == "apply") return CmdApply(*flags);
-  if (command == "significance") return CmdSignificance(*flags);
-  if (command == "catalog") return CmdCatalog(*flags);
-  if (command == "list") return CmdList();
+  for (const Command& command : Commands()) {
+    if (name != command.name) continue;
+    std::vector<std::string> known = command.flags;
+    if (command.shared != nullptr) {
+      const std::vector<std::string>& shared = command.shared();
+      known.insert(known.end(), shared.begin(), shared.end());
+    }
+    Status status = ValidateKnownFlags(*flags, known);
+    if (status.ok()) status = command.run(*flags);
+    return status.ok() ? 0 : Fail(status);
+  }
   return Usage();
 }
 

@@ -18,9 +18,10 @@ File rules (fast pure-regex pass over stripped code, < 5s):
   no-naked-thread  No std::thread / std::async / pthread_create outside
                    src/common/parallel.cc — all concurrency (library code,
                    the suite scheduler, the src/server/ request executor,
-                   tools/, bench/, examples/) goes through ParallelFor /
-                   ParallelForEach so cancellation, deadlines and exception
-                   capture stay in one audited place. Only tests may spawn
+                   tools/, bench/, examples/) goes through
+                   ParallelForCancellable / ParallelForEach so
+                   cancellation, deadlines and exception capture stay in
+                   one audited place. Only tests may spawn
                    threads (stress tests race the cache on purpose).
   no-sleep-in-server
                    No sleep_for / sleep_until / usleep / nanosleep / sleep()
@@ -47,10 +48,11 @@ Tree rules (cross-file consistency):
 
   flag-sync        Every `--flag` mentioned in a tools/*.cc string literal
                    must be declared in a known-flags list (fairauditd's
-                   KnownFlags, fairaudit's add({...}) lists, or
-                   AuditOptionFlagNames), and every declared flag must be
-                   documented in README.md — the CLI/HTTP surface stays
-                   fully validated and fully documented.
+                   KnownFlags, fairaudit's command table,
+                   AuditOptionFlagNames or SuiteOptionFlagNames), and every
+                   declared flag must be documented in README.md — the
+                   CLI/HTTP surface stays fully validated and fully
+                   documented.
   bench-json-schema
                    Checked-in BENCH_*.json baselines parse as strict JSON
                    (no NaN/Infinity), carry a "bench" name, and known
@@ -289,11 +291,14 @@ class FlagSyncRule(Rule):
 
     name = "flag-sync"
 
-    # Brace initializer lists that declare accepted flags: fairaudit's
-    # add({...}) lambda calls and the static vector literals behind
-    # fairauditd's KnownFlags() / AuditOptionFlagNames().
+    # Brace initializer lists that declare accepted flags: add({...}) calls,
+    # the static vector literals behind fairauditd's KnownFlags() and
+    # AuditOptionFlagNames() / SuiteOptionFlagNames(), and the flag list
+    # that follows the handler and shared set in a row of fairaudit's
+    # command table: {"name", CmdName, SharedFlags, {"flag", ...}}.
     DECLARATION = re.compile(
-        r"(?:add\(\{|new std::vector<std::string>\{)(.*?)\}", re.S)
+        r"(?:add\(\{|new std::vector<std::string>\{"
+        r"|\bCmd\w+,\s*\w+,\s*\{)(.*?)\}", re.S)
     DECLARATION_FILES = ("tools/", "src/fairness/option_flags.cc")
 
     def declared_flags(self, tree):
@@ -328,8 +333,9 @@ class FlagSyncRule(Rule):
                     if name not in declared:
                         yield (path, line_of(ctx.text, lit.start()),
                                "--%s is mentioned here but declared in no "
-                               "known-flags list (KnownFlags / add({...}) / "
-                               "AuditOptionFlagNames)" % name)
+                               "known-flags list (KnownFlags / the command "
+                               "table / AuditOptionFlagNames / "
+                               "SuiteOptionFlagNames)" % name)
         # Direction 2: every declared flag is documented in README.md.
         if "README.md" in tree.aux:
             for name, (path, line) in sorted(declared.items()):
@@ -355,6 +361,19 @@ class FlagSyncRule(Rule):
           "README.md": "--top --out\n"}, 0),
         # Without a README nothing can be documented; only direction 1 runs.
         ({"tools/a.cc": _DECL}, 0),
+        # A command-table row declares the list after its handler and shared
+        # set (the command name itself is not a flag); a mention of a flag
+        # no row declares is still a finding.
+        ({"tools/c.cc": '{"suite", CmdSuite, SuiteOptionFlagNames,\n'
+                        ' {"input", "csv"}},\n'
+                        '{"list", CmdList, nullptr, {}},\n'
+                        'const char* e = "--csv or --functions";\n',
+          "README.md": "--input --csv\n"}, 1),
+        # A list built in a local from new std::vector<std::string>{...}, as
+        # SuiteOptionFlagNames() builds its own, declares its literals.
+        ({"src/fairness/option_flags.cc":
+              'auto* suite = new std::vector<std::string>{"algorithms"};\n',
+          "README.md": "--input\n"}, 1),
     )
 
 
@@ -492,8 +511,8 @@ RULES = (
     PatternRule(
         "no-naked-thread",
         r"\bstd\s*::\s*(?:thread|j?thread|async)\b|\bpthread_create\b",
-        "'%s' — use common/parallel (ParallelFor/ParallelForEach) for "
-        "concurrency",
+        "'%s' — use common/parallel (ParallelForCancellable/ParallelForEach) "
+        "for concurrency",
         scope=lambda path: not path.startswith("tests/"),
         exempt=("src/common/parallel.cc",),
         selftests=(
